@@ -7,6 +7,13 @@ accumulating gradients into every reachable tensor with ``requires_grad``.
 
 Training runs in float32; float64 exists for finite-difference verification
 (see :mod:`ldlnet.gradcheck`).
+
+Every op takes and returns (N,C,H,W) activations. ``conv2d`` computes
+channels-last inside the op: its window rows, matmuls and gradient buffers
+are (N,H,W,C), so each window is a run of kw*C contiguous floats and the
+input gradient needs no scatter. The op boundary stays NCHW because every
+other op, the network, the tests and gradcheck use that layout, and so does
+the benchmark's tracer, which counts conv FLOPs from NCHW output shapes.
 """
 
 from __future__ import annotations
@@ -136,37 +143,69 @@ def dense(x, w, b):
     return _wire(out, (x, w, b), bwd)
 
 
-def _im2col(xd, kh, kw, stride, pad):
-    if pad:
-        xd = np.pad(xd, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    n, c, hp, wp = xd.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    s0, s1, s2, s3 = xd.strides
+def _pad_hw(a, ph, pw):
+    """C-contiguous copy of the channels-last a:(N,H,W,C) with its H and W
+    axes zero-padded by ph and pw on each side, or cropped by as much where
+    negative. A contiguous ``a`` with nothing to pad or crop comes back as is.
+    """
+    ch, cw = max(-ph, 0), max(-pw, 0)
+    a = a[:, ch:a.shape[1] - ch, cw:a.shape[2] - cw]
+    ph, pw = max(ph, 0), max(pw, 0)
+    if ph == pw == 0:
+        return np.ascontiguousarray(a)
+    n, h, w, c = a.shape
+    out = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=a.dtype)
+    out[:, ph:ph + h, pw:pw + w] = a
+    return out
+
+
+def _window_rows(a, kh, kw, stride):
+    """The kh x kw windows of a contiguous channels-last a:(N,H,W,C) at
+    ``stride``, one row per output position: (N*Ho*Wo, kh*kw*C), ordered
+    (kh, kw, C).
+
+    A row is kh runs of kw*C contiguous floats; for a 1x1 window at stride 1
+    the rows are a free reshape of ``a``.
+    """
+    n, h, w, c = a.shape
+    ho = (h - kh) // stride + 1
+    wo = (w - kw) // stride + 1
+    s0, s1, s2, s3 = a.strides
     win = np.lib.stride_tricks.as_strided(
-        xd,
-        (n, ho, wo, c, kh, kw),
-        (s0, s2 * stride, s3 * stride, s1, s2, s3),
+        a,
+        (n, ho, wo, kh, kw, c),
+        (s0, s1 * stride, s2 * stride, s1, s2, s3),
         writeable=False,
     )
-    return win.reshape(n * ho * wo, c * kh * kw), ho, wo
+    return win.reshape(n * ho * wo, kh * kw * c)
 
 
-def _col2im(dcols, xshape, kh, kw, stride, pad, ho, wo):
-    n, c, h, w = xshape
-    dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=dcols.dtype)
-    d6 = dcols.reshape(n, ho, wo, c, kh, kw)
-    for u in range(kh):
-        for v in range(kw):
-            dxp[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += \
-                d6[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-    if pad:
-        return dxp[:, :, pad:-pad, pad:-pad]
-    return dxp
+def _kernel_rows(kd):
+    """Kernels kd:(F,C,kh,kw) as an (F, kh*kw*C) matrix, columns ordered as window rows."""
+    return kd.transpose(0, 2, 3, 1).reshape(kd.shape[0], -1)
+
+
+def _nchw(rows, n, h, w):
+    """(N*H*W, C) channels-last rows as a contiguous (N,C,H,W) array."""
+    return np.ascontiguousarray(rows.reshape(n, h, w, -1).transpose(0, 3, 1, 2))
 
 
 def conv2d(x, k, stride=1, pad=0):
-    """Cross-correlation of x:(N,C,H,W) with kernels k:(F,C,kh,kw); no kernel flip."""
+    """Cross-correlation of x:(N,C,H,W) with kernels k:(F,C,kh,kw); no kernel flip.
+
+    Inside the op everything is channels-last. The forward transposes the
+    padded input to (N,H,W,C) once, takes its window rows (N*Ho*Wo, kh*kw*C)
+    and multiplies them by the kernel reordered to (F, kh*kw*C) in one
+    matmul (im2col, Chellapilla et al. 2006). The weight gradient is
+    gmat.T @ rows. At stride 1 the input gradient is the stride-1
+    convolution of the gradient, padded by kh-1-pad (cropped when pad is
+    larger), with the flipped, transposed kernels (Dumoulin & Visin 2016):
+    one window copy and one matmul. At larger strides it is kh*kw slab adds
+    of contiguous C-runs into an (N,H,W,C) buffer. The boundary stays NCHW
+    because every other op, the network, gradcheck and the tests use it.
+    Only the window rows are kept for the backward; the reordered kernel
+    is rebuilt there rather than held on the tape.
+    """
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d operands, got {x.shape} and {k.shape}")
     n, c, h, w = x.shape
@@ -184,19 +223,28 @@ def conv2d(x, k, stride=1, pad=0):
     if ho < 1 or wo < 1:
         raise ConfigurationError(f"conv2d output dims {ho}x{wo} are not positive")
 
-    cols, _, _ = _im2col(x.data, kh, kw, stride, pad)
-    kmat = k.data.reshape(f, -1)
-    out_data = np.ascontiguousarray(
-        (cols @ kmat.T).reshape(n, ho, wo, f).transpose(0, 3, 1, 2))
-    out = Tensor(out_data, op="conv2d")
+    rows = _window_rows(_pad_hw(x.data.transpose(0, 2, 3, 1), pad, pad), kh, kw, stride)
+    out = Tensor(_nchw(rows @ _kernel_rows(k.data).T, n, ho, wo), op="conv2d")
 
     def bwd(g):
-        gmat = g.transpose(0, 2, 3, 1).reshape(n * ho * wo, f)
+        gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
         if k.requires_grad:
-            _accum(k, (gmat.T @ cols).reshape(k.shape))
-        if x.requires_grad:
-            dcols = gmat @ kmat
-            _accum(x, _col2im(dcols, (n, c, h, w), kh, kw, stride, pad, ho, wo))
+            dk = (gmat.T @ rows).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+            _accum(k, np.ascontiguousarray(dk))
+        if not x.requires_grad:
+            return
+        if stride == 1:
+            grows = _window_rows(
+                _pad_hw(gmat.reshape(n, ho, wo, f), kh - 1 - pad, kw - 1 - pad), kh, kw, 1)
+            kflip = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, kh * kw * f)
+            _accum(x, _nchw(grows @ kflip.T, n, h, w))
+            return
+        drows = (gmat @ _kernel_rows(k.data)).reshape(n, ho, wo, kh, kw, c)
+        dxp = np.zeros((n, hp, wp, c), dtype=drows.dtype)
+        for u in range(kh):
+            for v in range(kw):
+                dxp[:, u:u + stride * ho:stride, v:v + stride * wo:stride] += drows[:, :, :, u, v]
+        _accum(x, np.ascontiguousarray(dxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)))
 
     return _wire(out, (x, k), bwd)
 
@@ -343,11 +391,10 @@ def pool(x, mode, window, stride=None):
         if not x.requires_grad:
             return
         dx = np.zeros_like(x.data)
-        hi = (np.arange(ho) * stride)[None, None, :, None] + idx // window
-        wi = (np.arange(wo) * stride)[None, None, None, :] + idx % window
-        ni = np.arange(n)[:, None, None, None]
-        ci = np.arange(c)[None, :, None, None]
-        np.add.at(dx, (ni, ci, hi, wi), g)
+        for u in range(window):
+            for v in range(window):
+                dx[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += \
+                    g * (idx == u * window + v)
         _accum(x, dx)
 
     return _wire(out, (x,), bwd)

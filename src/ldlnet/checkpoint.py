@@ -20,6 +20,7 @@ names.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -94,11 +95,13 @@ def save(ckpt, path):
 
 
 def _read_exact(fh, n, what):
-    buf = fh.read(n)
-    if len(buf) != n:
+    """Read ``n`` bytes, refusing before the read when fewer are left in the
+    file, so that a corrupt size field cannot ask for an unbounded read."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
         raise CheckpointTruncatedError(
-            f"file ended while reading {what} ({len(buf)} of {n} bytes)")
-    return buf
+            f"file ended while reading {what} ({left} of {n} bytes)")
+    return fh.read(n)
 
 
 def load(path):
@@ -124,14 +127,20 @@ def load(path):
         state = {}
         for i in range(n_records):
             nlen = struct.unpack("<I", _read_exact(fh, 4, f"record {i} name length"))[0]
-            name = _read_exact(fh, nlen, f"record {i} name").decode("utf-8")
+            try:
+                name = _read_exact(fh, nlen, f"record {i} name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"record {i} name is not UTF-8: {exc}") from exc
             rank = struct.unpack("<I", _read_exact(fh, 4, f"record {i} rank"))[0]
             dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, f"record {i} dims"))
             count = 1
             for d in dims:
                 count *= d
             raw = _read_exact(fh, 4 * count, f"record {i} values ({name})")
-            state[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            try:
+                state[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            except ValueError as exc:   # a zero dim beside one numpy cannot hold
+                raise CheckpointError(f"record {i} ({name}) has dims {dims}: {exc}") from exc
         if fh.read(1):
             raise CheckpointError("trailing bytes after the declared records")
     return Checkpoint(spec=spec, state=state, iteration=iteration)

@@ -14,8 +14,7 @@ Exit codes:
     6  gradient check failure
 
 The LDL_THREADS environment variable (default 1) caps the numeric library's
-internal parallelism; it takes effect when this package is imported before
-numpy is first loaded.
+internal parallelism; the package applies it when it is imported.
 """
 
 from __future__ import annotations
@@ -309,7 +308,7 @@ def _run_eval(cmd):
     from .data import load_index
     from .distributions import weighted_mean
     from .errors import UndefinedCorrelationError
-    from .training import evaluate, predict_distributions
+    from .training import evaluate
     net, _ = _network_from_checkpoint(cmd.ckpt)
     ds = load_index(cmd.data, image_size=net.spec.input_size)
     indices = list(range(ds.n))
@@ -317,11 +316,10 @@ def _run_eval(cmd):
     print(f"n {record.n} pc {record.pc!r} kl {record.mean_kl:.6f} "
           f"chebyshev {record.mean_chebyshev:.6f} {record.loss_kind} {record.mean_loss:.6f}")
     if cmd.out:
-        preds = predict_distributions(net, ds, indices)
         c = len(ds.scale)
         header = "path,true_mean,pred_mean," + ",".join(f"pred_d{j+1}" for j in range(c))
         rows = [header]
-        for i, dist in zip(indices, preds):
+        for i, dist in zip(indices, record.predictions):
             s = ds.samples[i]
             pred_mean = weighted_mean(dist, ds.scale)
             rows.append(f"{s.path},{s.mean_score!r},{pred_mean!r},"
@@ -434,14 +432,6 @@ def run(cmd):
 
 
 def main(argv=None):
-    threads = os.environ.setdefault("LDL_THREADS", "1")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, threads)
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(int(threads))
-    except (ImportError, ValueError):
-        pass
     try:
         cmd = parse(sys.argv[1:] if argv is None else list(argv))
     except UsageError as exc:

@@ -47,12 +47,6 @@ class Dataset:
     def n(self):
         return len(self.samples)
 
-    def train_samples(self):
-        return [self.samples[i] for i in self.train_idx]
-
-    def test_samples(self):
-        return [self.samples[i] for i in self.test_idx]
-
 
 def split(dataset, train_fraction=None, counts=None, seed=0):
     """Uniform random disjoint train/test split, deterministic in the seed."""

@@ -6,6 +6,8 @@ when Pillow is installed.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import DatasetError
@@ -44,6 +46,12 @@ def _ppm_tokens(fh):
         yield token
 
 
+def _header_int(token, path):
+    if not token.isdigit():
+        raise DatasetError(f"{path}: PPM header field {token!r} is not a decimal integer")
+    return int(token)
+
+
 def read_ppm(path):
     """Read a binary PPM into a (3,H,W) float32 image in [0,1]."""
     with open(path, "rb") as fh:
@@ -51,14 +59,15 @@ def read_ppm(path):
         if magic != b"P6":
             raise DatasetError(f"{path}: not a binary PPM (magic {magic!r})")
         tokens = _ppm_tokens(fh)
-        w = int(next(tokens))
-        h = int(next(tokens))
-        maxval = int(next(tokens))
+        w, h, maxval = (_header_int(next(tokens), path) for _ in range(3))
+        if w < 1 or h < 1:
+            raise DatasetError(f"{path}: PPM size {w}x{h} is not positive")
         if maxval != 255:
             raise DatasetError(f"{path}: only maxval 255 PPMs are supported, got {maxval}")
-        raw = fh.read(3 * w * h)
-        if len(raw) != 3 * w * h:
+        # checked before the read, so a huge declared size cannot ask for one
+        if 3 * w * h > os.fstat(fh.fileno()).st_size - fh.tell():
             raise DatasetError(f"{path}: truncated PPM pixel data")
+        raw = fh.read(3 * w * h)
     arr = np.frombuffer(raw, dtype=np.uint8).reshape(h, w, 3)
     return (arr.transpose(2, 0, 1).astype(np.float32)) / 255.0
 

@@ -117,6 +117,7 @@ class EvalRecord:
     mean_chebyshev: float
     mean_loss: float
     loss_kind: str
+    predictions: np.ndarray = field(repr=False)   # (n, c) float64, in split order
 
 
 def sgd_step(records, velocities, config, iteration):
@@ -189,7 +190,8 @@ def recompute_bn_stats(net, dataset, indices, batch_size):
 
 
 def evaluate(net, dataset, indices, loss_kind="euclidean", batch_size=64):
-    """Eval-mode metrics over one split: PC, mean KL, mean Chebyshev, mean loss."""
+    """Eval-mode metrics over one split: PC, mean KL, mean Chebyshev, mean loss,
+    and the predicted distributions they were computed from."""
     if not indices:
         raise ConfigurationError("evaluate needs a non-empty split")
     preds = predict_distributions(net, dataset, indices, batch_size)
@@ -208,7 +210,8 @@ def evaluate(net, dataset, indices, loss_kind="euclidean", batch_size=64):
     mean_cheb = float(np.mean([chebyshev(p, t) for p, t in zip(preds, targets)]))
     mean_loss = batch_loss_value(loss_kind, preds, targets)
     return EvalRecord(n=len(indices), pc=pc, pc_error=pc_error, mean_kl=mean_kl,
-                      mean_chebyshev=mean_cheb, mean_loss=mean_loss, loss_kind=loss_kind)
+                      mean_chebyshev=mean_cheb, mean_loss=mean_loss, loss_kind=loss_kind,
+                      predictions=preds)
 
 
 def _check_images(dataset, spec):

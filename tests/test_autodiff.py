@@ -88,6 +88,89 @@ class TestConv2d:
                       stride=1, pad=0)
 
 
+def _conv_reference(x, k, stride, pad, g):
+    """Direct-loop float64 conv2d: output, and dX and dK for upstream gradient g."""
+    x, k, g = (np.asarray(a, dtype=np.float64) for a in (x, k, g))
+    kh, kw = k.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    ho, wo = g.shape[2:]
+    out = np.zeros(g.shape)
+    dxp = np.zeros(xp.shape)
+    dk = np.zeros(k.shape)
+    for i in range(ho):
+        for j in range(wo):
+            rows = slice(i * stride, i * stride + kh)
+            cols = slice(j * stride, j * stride + kw)
+            window = xp[:, :, rows, cols]
+            out[:, :, i, j] = np.tensordot(window, k, axes=([1, 2, 3], [1, 2, 3]))
+            dxp[:, :, rows, cols] += np.tensordot(g[:, :, i, j], k, axes=(1, 0))
+            dk += np.tensordot(g[:, :, i, j], window, axes=(0, 0))
+    return out, dxp[:, :, pad:pad + x.shape[2], pad:pad + x.shape[3]], dk
+
+
+# (input shape, kernel shape, stride, pad): every conv the networks use, a
+# non-square kernel and a pad larger than the kernel minus one
+CONV_CASES = [
+    ((2, 3, 8, 8), (4, 3, 3, 3), 1, 1),
+    ((2, 3, 8, 8), (4, 3, 3, 3), 2, 1),
+    ((2, 3, 6, 6), (5, 3, 1, 1), 1, 0),
+    ((2, 3, 7, 7), (5, 3, 1, 1), 2, 0),
+    ((2, 3, 15, 15), (4, 3, 7, 7), 2, 3),
+    ((2, 3, 7, 9), (4, 3, 2, 3), 1, 1),
+    ((2, 3, 9, 8), (4, 3, 3, 2), 2, 1),
+    ((2, 3, 5, 5), (4, 3, 2, 2), 1, 3),
+    ((2, 3, 5, 5), (4, 3, 3, 3), 2, 3),
+]
+
+
+class TestConv2dAgainstDirectLoops:
+    # tolerance from the dtype alone: 64 epsilons relative to the largest reference value
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("xs,ks,stride,pad", CONV_CASES)
+    def test_output_and_both_gradients(self, xs, ks, stride, pad, dtype):
+        rng = np.random.default_rng(0)
+        x = ad.Tensor(rng.standard_normal(xs).astype(dtype), requires_grad=True)
+        k = ad.Tensor(rng.standard_normal(ks).astype(dtype), requires_grad=True)
+        out = ad.conv2d(x, k, stride=stride, pad=pad)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        ad.tsum(ad.mul_const(out, g)).backward()
+        refs = _conv_reference(x.data, k.data, stride, pad, g)
+        tol = 64 * np.finfo(dtype).eps
+        for name, got, ref in zip(("out", "dX", "dK"), (out.data, x.grad, k.grad), refs):
+            assert got.shape == ref.shape and got.dtype == dtype, name
+            err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+            assert err <= tol, f"{name}: relative error {err:.2e} > {tol:.2e}"
+
+
+def _max_pool_grad_reference(x, window, stride, g):
+    """Loop max-pool backward: each window's gradient to its first maximum."""
+    dx = np.zeros(x.shape)
+    n, c, ho, wo = g.shape
+    for a in range(n):
+        for b in range(c):
+            for i in range(ho):
+                for j in range(wo):
+                    win = x[a, b, i * stride:i * stride + window, j * stride:j * stride + window]
+                    u, v = np.unravel_index(np.argmax(win), win.shape)
+                    dx[a, b, i * stride + u, j * stride + v] += g[a, b, i, j]
+    return dx
+
+
+class TestMaxPoolAgainstLoops:
+    @pytest.mark.parametrize("window,stride,pad", [(2, 2, 0), (3, 2, 1), (3, 1, 0)])
+    def test_backward_on_ties(self, window, stride, pad):
+        rng = np.random.default_rng(window * 10 + stride)
+        # few distinct values: most windows hold a tie, many of them at the padding's 0
+        x = t64(rng.integers(-2, 3, size=(2, 3, 9, 9)), requires_grad=True)
+        xp = ad.pad2d(x, pad)
+        out = ad.pool(xp, "max", window, stride)
+        g = rng.integers(1, 100, size=out.shape).astype(np.float64)
+        ad.tsum(ad.mul_const(out, g)).backward()
+        ref = _max_pool_grad_reference(xp.data, window, stride, g)
+        # integer-valued sums are exact in any order
+        assert np.array_equal(x.grad, ref[:, :, pad:pad + 9, pad:pad + 9])
+
+
 class TestBatchNorm:
     def test_normalizes_per_channel(self):
         rng = np.random.default_rng(3)

@@ -1,5 +1,6 @@
 """Checkpoint format tests: round trips and corruption handling."""
 
+import json
 import struct
 
 import numpy as np
@@ -93,3 +94,46 @@ class TestCorruption:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ckpt_io.load(tmp_path / "absent.ckpt")
+
+
+def _one_record_file(path, record, name=b"w"):
+    """A checkpoint with a valid header declaring one record named ``name``,
+    whose bytes after the name are ``record``."""
+    header = json.dumps({"spec": ckpt_io._spec_to_dict(TOY), "iteration": 0,
+                         "records": 1}).encode("utf-8")
+    path.write_bytes(ckpt_io.MAGIC + struct.pack("<II", ckpt_io.VERSION, len(header))
+                     + header + struct.pack("<I", len(name)) + name + record)
+    return path
+
+
+class TestSizeFieldsBoundedByTheFile:
+    def test_huge_rank_refused_before_reading(self, tmp_path):
+        # rank 2^31 declares 16 GiB of dims
+        path = _one_record_file(tmp_path / "rank.ckpt", struct.pack("<I", 2**31) + b"\0" * 16)
+        with pytest.raises(CheckpointTruncatedError) as exc:
+            ckpt_io.load(path)
+        assert "dims" in str(exc.value)
+
+    def test_huge_dims_refused_before_reading(self, tmp_path):
+        path = _one_record_file(tmp_path / "dims.ckpt",
+                                struct.pack("<I2Q", 2, 2**40, 2**40) + b"\0" * 16)
+        with pytest.raises(CheckpointTruncatedError) as exc:
+            ckpt_io.load(path)
+        assert "values" in str(exc.value)
+
+    def test_huge_header_length_refused(self, tmp_path):
+        path = tmp_path / "hlen.ckpt"
+        path.write_bytes(ckpt_io.MAGIC + struct.pack("<II", ckpt_io.VERSION, 2**32 - 1) + b"{}")
+        with pytest.raises(CheckpointTruncatedError):
+            ckpt_io.load(path)
+
+    def test_zero_dim_beside_an_unrepresentable_one(self, tmp_path):
+        path = _one_record_file(tmp_path / "zero.ckpt", struct.pack("<I2Q", 2, 0, 2**63))
+        with pytest.raises(CheckpointError):
+            ckpt_io.load(path)
+
+    def test_name_that_is_not_utf8(self, tmp_path):
+        path = _one_record_file(tmp_path / "name.ckpt", struct.pack("<I", 0) + b"\0" * 4,
+                                name=b"\xff")
+        with pytest.raises(CheckpointError):
+            ckpt_io.load(path)

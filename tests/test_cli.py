@@ -1,5 +1,10 @@
 """CLI tests: parsing, config files, exit codes, and the verb round trip."""
 
+import os
+import struct
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -100,6 +105,30 @@ class TestExitCodes:
         bad.write_bytes(b"NOPE" + b"\0" * 32)
         assert main(["eval", "--data", str(idx), "--ckpt", str(bad)]) == 3
 
+    def test_bad_ppm_header_is_two(self, tmp_path, capsys):
+        from ldlnet import checkpoint as ckpt_io
+        from ldlnet.network import Network, NetworkSpec, init_weights
+        net = Network(NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
+                                  input_size=16))
+        init_weights(net, 0)
+        ckpt_io.save(ckpt_io.Checkpoint.from_network(net), tmp_path / "m.ckpt")
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(b"P6\nab 3")
+        assert main(["predict", "--ckpt", str(tmp_path / "m.ckpt"), "--image", str(bad)]) == 2
+        assert "ab" in capsys.readouterr().err
+
+    def test_checkpoint_with_huge_rank_is_three(self, tmp_path, capsys):
+        import json
+
+        from ldlnet import checkpoint as ckpt_io
+        from ldlnet.network import NetworkSpec
+        header = json.dumps({"spec": ckpt_io._spec_to_dict(NetworkSpec()), "iteration": 0,
+                             "records": 1}).encode("utf-8")
+        bad = tmp_path / "rank.ckpt"
+        bad.write_bytes(ckpt_io.MAGIC + struct.pack("<II", ckpt_io.VERSION, len(header))
+                        + header + struct.pack("<I", 1) + b"w" + struct.pack("<I", 2**31))
+        assert main(["predict", "--ckpt", str(bad), "--image", "unread.ppm"]) == 3
+
     def test_undefined_correlation_is_five(self, tmp_path, capsys):
         # a zero final layer predicts the uniform distribution for every
         # image, so the decoded scores are constant and PC is undefined
@@ -147,6 +176,37 @@ class TestVerbRoundTrip:
         header = (workspace / "per.csv").read_text().splitlines()[0]
         assert header == "path,true_mean,pred_mean,pred_d1,pred_d2,pred_d3,pred_d4,pred_d5"
         assert "kl" in out and "chebyshev" in out
+
+    def test_eval_out_runs_the_network_once_per_image(self, workspace, capsys, monkeypatch):
+        from ldlnet import checkpoint as ckpt_io
+        from ldlnet.data import load_index
+        from ldlnet.distributions import weighted_mean
+        from ldlnet.network import Network
+        from ldlnet.training import evaluate, predict_distributions
+        forwarded = []
+        forward = Network.forward
+
+        def counting(net, batch, mode="train"):
+            forwarded.append(len(batch))
+            return forward(net, batch, mode)
+
+        monkeypatch.setattr(Network, "forward", counting)
+        main(["eval", "--data", str(workspace / "d.idx"), "--ckpt", str(workspace / "m.ckpt"),
+              "--out", str(workspace / "once.csv")])
+        monkeypatch.undo()
+        printed = capsys.readouterr().out
+        ds = load_index(workspace / "d.idx", image_size=16)
+        assert sum(forwarded) == ds.n
+        # what the two separate passes gave: the PC of evaluate, the rows of
+        # predict_distributions
+        net = Network(ckpt_io.load(workspace / "m.ckpt").spec)
+        net.load_state_dict(ckpt_io.load(workspace / "m.ckpt").state)
+        indices = list(range(ds.n))
+        assert f" pc {evaluate(net, ds, indices).pc!r} " in printed
+        expected = [f"{s.path},{s.mean_score!r},{weighted_mean(d, ds.scale)!r},"
+                    + ",".join(repr(float(v)) for v in d)
+                    for s, d in zip(ds.samples, predict_distributions(net, ds, indices))]
+        assert (workspace / "once.csv").read_text().splitlines()[1:] == expected
 
     def test_predict_prints_degrees_and_mean(self, workspace, capsys):
         img = str(workspace / "d_images" / "img_00000.ppm")
@@ -201,3 +261,34 @@ class TestGradcheckVerb:
         out = capsys.readouterr().out
         assert "gradient suite PASS" in out
         assert "end-to-end" in out
+
+
+_THREAD_PROBE = """
+import ctypes, glob, os
+import numpy
+import ldlnet
+libdir = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+paths = sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*")))
+getter = getattr(ctypes.CDLL(paths[0]), "scipy_openblas_get_num_threads64_", None) if paths else None
+if getter is None:
+    print("absent")
+else:
+    getter.restype = ctypes.c_int
+    getter.argtypes = []
+    print(getter())
+"""
+
+
+class TestThreadCap:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_cap_holds_when_numpy_is_imported_first(self, threads):
+        import ldlnet
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["LDL_THREADS"] = threads
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ldlnet.__file__))
+        out = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout.strip()
+        if out == "absent":
+            pytest.skip("numpy does not bundle scipy-openblas here")
+        assert out == threads

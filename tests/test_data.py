@@ -208,6 +208,19 @@ class TestPpm:
         with pytest.raises(DatasetError):
             read_ppm(path)
 
+    @pytest.mark.parametrize("header", [
+        b"P6\nab 3",                              # not a number
+        b"P6\n-3 2\n255\n",                      # negative width
+        b"P6\n3 0\n255\n",                       # zero height
+        b"P6\n4294967296 4294967296\n255\n",     # far more pixels than the file holds
+        b"P6\n2 2\n0x1\n",                       # not decimal
+    ])
+    def test_bad_header_is_a_dataset_error(self, tmp_path, header):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(header + b"\0" * 12)
+        with pytest.raises(DatasetError):
+            read_ppm(path)
+
     def test_png_read_when_pillow_available(self, tmp_path):
         PIL = pytest.importorskip("PIL.Image")
         arr = (np.random.default_rng(9).uniform(size=(6, 5, 3)) * 255).astype(np.uint8)
