@@ -7,7 +7,7 @@ every run prints the resolved configuration before acting.
 Exit codes:
     0  success
     1  usage or configuration error
-    2  file not found / unreadable referenced file
+    2  file not found / unreadable referenced file (a directory, no permission)
     3  invalid data or checkpoint format
     4  numerical failure (non-finite values)
     5  undefined correlation (constant score vector)
@@ -22,6 +22,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+from .distributions import LOSS_KINDS
 
 
 class UsageError(Exception):
@@ -51,7 +53,7 @@ _TRAIN_OPTS = {
     "momentum": (float, 0.9, "SGD momentum"),
     "last_lr_mult": (float, 10.0, "learning-rate multiplier for the final layer"),
     "last_decay_mult": (float, 100.0, "weight-decay multiplier for the final layer"),
-    "loss": (("euclidean", "euclidean_sq", "kl"), "euclidean", "training loss"),
+    "loss": (LOSS_KINDS, "euclidean", "training loss"),
     "augment_factor": (int, 1, "train-split expansion factor"),
     "eval_every": (int, 500, "iterations between metric evaluations"),
     "train_frac": (float, 0.8, "train fraction when counts are not given"),
@@ -81,7 +83,7 @@ _VERB_OPTS = {
         "data": (str, None, "dataset index path (required)"),
         "ckpt": (str, None, "checkpoint path (required)"),
         "out": (str, None, "optional per-sample CSV path"),
-        "loss": (("euclidean", "euclidean_sq", "kl"), "euclidean", "loss column to report"),
+        "loss": (LOSS_KINDS, "euclidean", "loss column to report"),
         "seed": (int, 0, "random seed"),
     },
     "predict": {
@@ -150,8 +152,12 @@ def _read_config_file(path, schema):
     values = {}
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, row in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line = row.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise UsageError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})")
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -257,9 +263,14 @@ def _train_config(cmd):
 
 
 def _network_from_checkpoint(path):
+    """The network of a distribution-head checkpoint (eval and predict)."""
     from . import checkpoint as ckpt_io
+    from .errors import ConfigurationError
     from .network import Network
     ckpt = ckpt_io.load(path)
+    if ckpt.spec.num_labels < 2:
+        raise ConfigurationError(
+            f"{path}: a scalar-head (num_labels=1) checkpoint predicts no score distribution")
     net = Network(ckpt.spec)
     net.load_state_dict(ckpt.state)
     return net, ckpt
@@ -411,7 +422,7 @@ def run(cmd):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:   # absent, a directory, unreadable
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DatasetError as exc:

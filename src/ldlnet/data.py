@@ -186,9 +186,12 @@ def load_index(index_path, scale=None, image_size=None):
         raise FileNotFoundError(f"index file not found: {index_path}")
     base = os.path.dirname(os.path.abspath(index_path))
     samples = []
-    with open(index_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(index_path, "rb") as fh:
+        for lineno, row in enumerate(fh.read().splitlines(), start=1):
+            try:
+                line = row.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"row {lineno}: not UTF-8 text ({exc.reason})") from exc
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
@@ -224,8 +227,8 @@ def load_index(index_path, scale=None, image_size=None):
                 if vals.size != len(scale):
                     raise ValidationError(
                         f"row {lineno}: distribution has {vals.size} degrees, scale has {len(scale)}")
-                if np.any(vals < 0):
-                    raise ValidationError(f"row {lineno}: negative degree in {vals}")
+                if not np.all(vals >= 0):   # NaN too
+                    raise ValidationError(f"row {lineno}: negative or NaN degree in {vals}")
                 total = float(vals.sum())
                 if abs(total - 1.0) > DIST_SUM_DRIFT:
                     raise ValidationError(

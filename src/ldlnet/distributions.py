@@ -2,13 +2,14 @@
 
 A score distribution is a non-negative vector over the levels of a
 :class:`ScoreScale` that sums to one: entry j is the degree to which level j
-describes the face. All functions here are pure; the ``*_graph`` variants
-build the same losses on the autodiff tape for training.
+describes the face. All functions here are pure. The losses and metrics work
+along the last axis: two vectors give a float, two (N,c) arrays one value
+per row. The ``*_graph`` variants build the same losses on the autodiff tape
+for training.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,7 @@ from .errors import (
     ValidationError,
 )
 
+LOSS_KINDS = ("euclidean", "euclidean_sq", "kl")
 KL_CLAMP = 1e-7        # floor on predicted probabilities inside the log
 EUCLIDEAN_EPS = 1e-12  # added under the square root to keep the gradient finite at zero
 
@@ -53,7 +55,7 @@ def validate_distribution(degrees, tol=1e-6):
     d = np.asarray(degrees, dtype=np.float64)
     if d.ndim != 1:
         raise ValidationError(f"a distribution must be a vector, got shape {d.shape}")
-    if np.any(d < 0) or np.any(d > 1):
+    if not np.all((d >= 0) & (d <= 1)):   # NaN fails both
         raise ValidationError(f"distribution degrees must lie in [0,1], got {d}")
     s = float(d.sum())
     if abs(s - 1.0) > tol:
@@ -72,7 +74,7 @@ def distribution_from_ratings(ratings, scale=None):
     if r.size == 0:
         raise EmptyInputError("distribution_from_ratings needs at least one rating")
     lo, hi = scale.labels[0], scale.labels[-1]
-    bad = r[(r < lo) | (r > hi)]
+    bad = r[~((r >= lo) & (r <= hi))]   # NaN is outside too
     if bad.size:
         raise RangeError(f"rating {bad[0]} outside the scale range [{lo}, {hi}]")
     labels = scale.values
@@ -92,47 +94,49 @@ def weighted_mean(degrees, scale=None):
     return float(d @ scale.values)
 
 
+def _paired(a, b, what):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DimensionError(f"{what} shape mismatch: {a.shape} vs {b.shape}")
+    return a, b
+
+
+def _per_row(values):
+    """A float for one pair of vectors, the (N,) array for (N,c) rows."""
+    return float(values) if values.ndim == 0 else values
+
+
 def euclidean_loss(pred, target, squared=False):
-    """Per-sample L2 distance between distributions (or half its square)."""
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise DimensionError(f"euclidean_loss shape mismatch: {p.shape} vs {t.shape}")
-    sse = float(((t - p) ** 2).sum())
-    if squared:
-        return 0.5 * sse
-    return math.sqrt(sse)
+    """L2 distance between distributions along the last axis (or half its
+    square); a float per pair of vectors, one value per row of (N,c) arrays."""
+    p, t = _paired(pred, target, "euclidean_loss")
+    sse = ((t - p) ** 2).sum(axis=-1)
+    return _per_row(0.5 * sse if squared else np.sqrt(sse))
 
 
 def kl_loss(target, pred, clamp=KL_CLAMP):
-    """KL divergence sum_j d_j ln(d_j / f_j) with 0 ln 0 = 0 and f clamped to >= clamp."""
-    d = np.asarray(target, dtype=np.float64)
-    f = np.asarray(pred, dtype=np.float64)
-    if d.shape != f.shape:
-        raise DimensionError(f"kl_loss shape mismatch: {d.shape} vs {f.shape}")
+    """KL divergence sum_j d_j ln(d_j / f_j) along the last axis, with 0 ln 0 = 0
+    and f clamped to >= clamp; a float per pair of vectors, one value per row."""
+    d, f = _paired(target, pred, "kl_loss")
     f = np.maximum(f, clamp)
     mask = d > 0
-    return float((d[mask] * np.log(d[mask] / f[mask])).sum())
+    ratio = np.divide(d, f, out=np.ones_like(d), where=mask)
+    return _per_row(np.where(mask, d * np.log(ratio), 0.0).sum(axis=-1))
 
 
 def kl_logit_gradient(target, logits):
     """Exact gradient of kl_loss(target, softmax(logits)) wrt the logits: f - d."""
-    d = np.asarray(target, dtype=np.float64)
-    z = np.asarray(logits, dtype=np.float64)
-    if d.shape != z.shape:
-        raise DimensionError(f"kl_logit_gradient shape mismatch: {d.shape} vs {z.shape}")
+    d, z = _paired(target, logits, "kl_logit_gradient")
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     f = e / e.sum(axis=-1, keepdims=True)
     return f - d
 
 
 def chebyshev(pred, target):
-    """Largest absolute per-level disagreement between two distributions."""
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise DimensionError(f"chebyshev shape mismatch: {p.shape} vs {t.shape}")
-    return float(np.abs(p - t).max())
+    """Largest absolute per-level disagreement along the last axis."""
+    p, t = _paired(pred, target, "chebyshev")
+    return _per_row(np.abs(p - t).max(axis=-1))
 
 
 def pearson(pred_scores, true_scores):
@@ -190,10 +194,8 @@ def kl_loss_graph(pred, targets, clamp=KL_CLAMP):
 
 def batch_loss_graph(kind, pred, targets):
     """Dispatch on the configured loss kind: euclidean | euclidean_sq | kl."""
-    if kind == "euclidean":
-        return euclidean_loss_graph(pred, targets, squared=False)
-    if kind == "euclidean_sq":
-        return euclidean_loss_graph(pred, targets, squared=True)
+    if kind in ("euclidean", "euclidean_sq"):
+        return euclidean_loss_graph(pred, targets, squared=kind == "euclidean_sq")
     if kind == "kl":
         return kl_loss_graph(pred, targets)
     raise ValidationError(f"unknown loss kind {kind!r}")
@@ -201,14 +203,8 @@ def batch_loss_graph(kind, pred, targets):
 
 def batch_loss_value(kind, pred, targets):
     """Plain-array mean per-sample loss of the given kind (no tape)."""
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if kind == "euclidean":
-        return float(np.sqrt(((t - p) ** 2).sum(axis=1)).mean())
-    if kind == "euclidean_sq":
-        return float(0.5 * ((t - p) ** 2).sum(axis=1).mean())
+    if kind in ("euclidean", "euclidean_sq"):
+        return float(np.mean(euclidean_loss(pred, targets, squared=kind == "euclidean_sq")))
     if kind == "kl":
-        f = np.maximum(p, KL_CLAMP)
-        terms = np.where(t > 0, t * (np.log(np.maximum(t, 1e-300)) - np.log(f)), 0.0)
-        return float(terms.sum(axis=1).mean())
+        return float(np.mean(kl_loss(targets, pred)))
     raise ValidationError(f"unknown loss kind {kind!r}")

@@ -47,8 +47,10 @@ def _ppm_tokens(fh):
 
 
 def _header_int(token, path):
-    if not token.isdigit():
-        raise DatasetError(f"{path}: PPM header field {token!r} is not a decimal integer")
+    # the length bound keeps int() within its digit limit
+    if not token.isdigit() or len(token) > 12:
+        raise DatasetError(
+            f"{path}: PPM header field {token[:16]!r} is not a decimal integer of at most 12 digits")
     return int(token)
 
 

@@ -1,5 +1,10 @@
 """SGD training with the step learning-rate schedule and per-layer multipliers.
 
+``train`` (distribution head) and ``train_mean_regression`` (scalar head)
+share one SGD loop and one batched eval-mode prediction loop, and differ only
+in their batch loss and eval-point action. ``evaluate`` scores a split with
+one call to each batched loss and metric function of ``distributions``.
+
 The optimizer minimizes the batch-summed distribution loss. The final dense
 layer trains with 10x the learning rate and 100x the weight decay; batch-norm
 scale/shift parameters are exempt from weight decay. Everything is
@@ -24,6 +29,7 @@ from . import autodiff as ad
 from .checkpoint import Checkpoint
 from .data import expand
 from .distributions import (
+    LOSS_KINDS,
     batch_loss_graph,
     batch_loss_value,
     chebyshev,
@@ -32,8 +38,6 @@ from .distributions import (
 )
 from .errors import ConfigurationError, NumericalError, UndefinedCorrelationError
 from .network import Network, init_weights
-
-LOSS_KINDS = ("euclidean", "euclidean_sq", "kl")
 
 
 @dataclass(frozen=True)
@@ -150,16 +154,25 @@ def _batch_arrays(dataset, indices):
     return images, targets
 
 
-def predict_distributions(net, dataset, indices, batch_size=64):
-    """Eval-mode predicted distributions for the given sample indices."""
+def _predict(net, dataset, indices, batch_size, readout):
+    """Eval-mode ``readout(network output)`` for the given sample indices,
+    batched, as one float64 array in index order."""
     preds = []
     with ad.no_grad():
         for start in range(0, len(indices), batch_size):
-            chunk = indices[start:start + batch_size]
-            images, _ = _batch_arrays(dataset, chunk)
-            out = net.forward(images, mode="eval")
-            preds.append(out.distribution.data.astype(np.float64))
-    return np.concatenate(preds, axis=0)
+            images, _ = _batch_arrays(dataset, indices[start:start + batch_size])
+            preds.append(readout(net.forward(images, mode="eval")).astype(np.float64))
+    return np.concatenate(preds)
+
+
+def predict_distributions(net, dataset, indices, batch_size=64):
+    """Eval-mode predicted distributions for the given sample indices."""
+    return _predict(net, dataset, indices, batch_size, lambda out: out.distribution.data)
+
+
+def predict_scalar_scores(net, dataset, indices, batch_size=64):
+    """Eval-mode scalar-head predictions (mean-regression baseline)."""
+    return _predict(net, dataset, indices, batch_size, lambda out: out.logits.data[:, 0])
 
 
 def recompute_bn_stats(net, dataset, indices, batch_size):
@@ -195,9 +208,11 @@ def evaluate(net, dataset, indices, loss_kind="euclidean", batch_size=64):
     if not indices:
         raise ConfigurationError("evaluate needs a non-empty split")
     preds = predict_distributions(net, dataset, indices, batch_size)
+    if preds.shape[1] != len(dataset.scale):
+        raise ConfigurationError(
+            f"network predicts {preds.shape[1]} levels, score scale has {len(dataset.scale)}")
     targets = np.stack([dataset.samples[i].distribution for i in indices])
-    labels = dataset.scale.values
-    pred_scores = preds @ labels
+    pred_scores = preds @ dataset.scale.values
     true_scores = np.array([dataset.samples[i].mean_score for i in indices])
 
     pc, pc_error = math.nan, None
@@ -206,8 +221,8 @@ def evaluate(net, dataset, indices, loss_kind="euclidean", batch_size=64):
     except UndefinedCorrelationError as exc:
         pc_error = str(exc)
 
-    mean_kl = float(np.mean([kl_loss(t, p) for t, p in zip(targets, preds)]))
-    mean_cheb = float(np.mean([chebyshev(p, t) for p, t in zip(preds, targets)]))
+    mean_kl = float(np.mean(kl_loss(targets, preds)))
+    mean_cheb = float(np.mean(chebyshev(preds, targets)))
     mean_loss = batch_loss_value(loss_kind, preds, targets)
     return EvalRecord(n=len(indices), pc=pc, pc_error=pc_error, mean_kl=mean_kl,
                       mean_chebyshev=mean_cheb, mean_loss=mean_loss, loss_kind=loss_kind,
@@ -223,21 +238,26 @@ def _check_images(dataset, spec):
                 f"sample {i} image shape {got} does not match network input {want}")
 
 
-def _epoch_batches(train_idx, batch_size, rng):
-    perm = rng.permutation(len(train_idx))
-    batches = []
-    for start in range(0, len(perm), batch_size):
-        chunk = [train_idx[j] for j in perm[start:start + batch_size]]
-        if len(chunk) >= 2:   # batch norm needs at least 2
-            batches.append(chunk)
-    return batches
+def _batch_stream(train_idx, batch_size, rng):
+    """Shuffled batches without end, a new permutation per epoch; a trailing
+    batch of one is dropped, as train-mode batch norm needs two."""
+    while True:
+        perm = rng.permutation(len(train_idx))
+        for start in range(0, len(perm), batch_size):
+            chunk = [train_idx[j] for j in perm[start:start + batch_size]]
+            if len(chunk) >= 2:
+                yield chunk
 
 
-def train(dataset, spec, config):
-    """Full training run; returns the final checkpoint and the metrics log."""
+def _fit(dataset, spec, config, loss_of, on_eval):
+    """The SGD loop both heads share; returns the network and the expanded
+    dataset. ``loss_of(out, targets, ds, batch_idx)`` gives the batch loss,
+    ``on_eval(iteration, net, ds, loss)`` runs after each eval point's update."""
     if not dataset.train_idx or not dataset.test_idx:
         raise ConfigurationError("train needs non-empty train and test splits")
     ds = expand(dataset, config.augment_factor, seed=config.seed)
+    if len(ds.train_idx) < 2:
+        raise ConfigurationError("train needs at least 2 train samples (batch norm)")
     _check_images(ds, spec)
 
     net = Network(spec)
@@ -245,20 +265,11 @@ def train(dataset, spec, config):
     records = net.param_records()
     velocities = {}
     shuffle_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xBA7C)))
-    log = MetricsLog()
-
-    batches = []
-    pos = 0
+    batches = _batch_stream(ds.train_idx, config.batch_size, shuffle_rng)
     for it in range(config.max_iter):
-        if pos >= len(batches):
-            batches = _epoch_batches(ds.train_idx, config.batch_size, shuffle_rng)
-            pos = 0
-        batch_idx = batches[pos]
-        pos += 1
-
+        batch_idx = next(batches)
         images, targets = _batch_arrays(ds, batch_idx)
-        out = net.forward(images, mode="train")
-        loss = batch_loss_graph(config.loss, out.distribution, targets)
+        loss = loss_of(net.forward(images, mode="train"), targets, ds, batch_idx)
         if not np.isfinite(loss.data):
             raise NumericalError(f"non-finite loss at iteration {it}")
         for rec in records:
@@ -267,17 +278,29 @@ def train(dataset, spec, config):
         sgd_step(records, velocities, config, it)
 
         if (it + 1) % config.eval_every == 0 or it + 1 == config.max_iter:
-            recompute_bn_stats(net, ds, ds.train_idx, config.batch_size)
-            tr = evaluate(net, ds, ds.train_idx, loss_kind=config.loss)
-            te = evaluate(net, ds, ds.test_idx, loss_kind=config.loss)
-            log.append(EvalPoint(
-                iteration=it + 1,
-                train_loss=tr.mean_loss,
-                test_loss=te.mean_loss,
-                test_pc=te.pc,
-                test_kl=te.mean_kl,
-                test_chebyshev=te.mean_chebyshev,
-            ))
+            on_eval(it + 1, net, ds, loss)
+    return net, ds
+
+
+def train(dataset, spec, config):
+    """Full training run; returns the final checkpoint and the metrics log."""
+    if spec.num_labels != len(dataset.scale):
+        raise ConfigurationError(
+            f"train needs num_labels = {len(dataset.scale)}, one per score level, got "
+            f"{spec.num_labels} (a scalar head trains with train_mean_regression)")
+    log = MetricsLog()
+
+    def distribution_loss(out, targets, ds, batch_idx):
+        return batch_loss_graph(config.loss, out.distribution, targets)
+
+    def on_eval(iteration, net, ds, loss):
+        recompute_bn_stats(net, ds, ds.train_idx, config.batch_size)
+        tr = evaluate(net, ds, ds.train_idx, loss_kind=config.loss)
+        te = evaluate(net, ds, ds.test_idx, loss_kind=config.loss)
+        log.append(EvalPoint(iteration, tr.mean_loss, te.mean_loss, te.pc, te.mean_kl,
+                             te.mean_chebyshev))
+
+    net, _ = _fit(dataset, spec, config, distribution_loss, on_eval)
     return Checkpoint.from_network(net, iteration=config.max_iter), log
 
 
@@ -292,51 +315,16 @@ def train_mean_regression(dataset, spec, config):
     """
     if spec.num_labels != 1:
         raise ConfigurationError("mean regression needs a num_labels=1 spec")
-    if not dataset.train_idx or not dataset.test_idx:
-        raise ConfigurationError("train needs non-empty train and test splits")
-    ds = expand(dataset, config.augment_factor, seed=config.seed)
-    _check_images(ds, spec)
-
-    net = Network(spec)
-    init_weights(net, config.seed)
-    records = net.param_records()
-    velocities = {}
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence((config.seed, 0xBA7C)))
     history = []
 
-    batches = []
-    pos = 0
-    for it in range(config.max_iter):
-        if pos >= len(batches):
-            batches = _epoch_batches(ds.train_idx, config.batch_size, shuffle_rng)
-            pos = 0
-        batch_idx = batches[pos]
-        pos += 1
-
-        images = np.stack([ds.samples[i].image for i in batch_idx]).astype(np.float32)
+    def squared_error(out, targets, ds, batch_idx):
         scores = np.array([ds.samples[i].mean_score for i in batch_idx], dtype=np.float32)
-        out = net.forward(images, mode="train")
         diff = ad.sub(ad.reshape(out.logits, (len(batch_idx),)), ad.Tensor(scores))
-        loss = ad.scale(ad.tsum(ad.mul(diff, diff)), 0.5 / len(batch_idx))
-        if not np.isfinite(loss.data):
-            raise NumericalError(f"non-finite loss at iteration {it}")
-        for rec in records:
-            rec.tensor.grad = None
-        loss.backward()
-        sgd_step(records, velocities, config, it)
-        if (it + 1) % config.eval_every == 0 or it + 1 == config.max_iter:
-            history.append((it + 1, float(loss.data)))
+        return ad.scale(ad.tsum(ad.mul(diff, diff)), 0.5 / len(batch_idx))
+
+    def on_eval(iteration, net, ds, loss):
+        history.append((iteration, float(loss.data)))
+
+    net, ds = _fit(dataset, spec, config, squared_error, on_eval)
     recompute_bn_stats(net, ds, ds.train_idx, config.batch_size)
     return Checkpoint.from_network(net, iteration=config.max_iter), history
-
-
-def predict_scalar_scores(net, dataset, indices, batch_size=64):
-    """Eval-mode scalar-head predictions (mean-regression baseline)."""
-    preds = []
-    with ad.no_grad():
-        for start in range(0, len(indices), batch_size):
-            chunk = indices[start:start + batch_size]
-            images = np.stack([dataset.samples[i].image for i in chunk]).astype(np.float32)
-            out = net.forward(images, mode="eval")
-            preds.append(out.logits.data[:, 0].astype(np.float64))
-    return np.concatenate(preds)

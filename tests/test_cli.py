@@ -129,6 +129,35 @@ class TestExitCodes:
                         + header + struct.pack("<I", 1) + b"w" + struct.pack("<I", 2**31))
         assert main(["predict", "--ckpt", str(bad), "--image", "unread.ppm"]) == 3
 
+    @pytest.mark.parametrize("num_labels", [1, 3])
+    def test_head_that_does_not_fit_the_scale_is_one(self, tmp_path, capsys, num_labels):
+        # a scalar head predicts no distribution; three levels are not the
+        # five of the index. ldl predict reads any c >= 2 as levels 1..c
+        from ldlnet import checkpoint as ckpt_io
+        from ldlnet.data import save_index
+        from ldlnet.network import Network, NetworkSpec, init_weights
+        from ldlnet.synth import synth_dataset
+        idx = save_index(synth_dataset(4, raters=3, seed=0, image_size=16), tmp_path / "d.idx")
+        net = Network(NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
+                                  input_size=16, num_labels=num_labels))
+        init_weights(net, 0)
+        ckpt = tmp_path / "m.ckpt"
+        ckpt_io.save(ckpt_io.Checkpoint.from_network(net), ckpt)
+        assert main(["eval", "--data", str(idx), "--ckpt", str(ckpt)]) == 1
+        image = str(tmp_path / "d_images" / "img_00000.ppm")
+        assert main(["predict", "--ckpt", str(ckpt), "--image", image]) == (
+            1 if num_labels == 1 else 0)
+
+    def test_config_that_is_not_utf8_is_one(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 3\nloss = k\xffl\n")
+        assert main(["train", "--data", "d", "--out", "m", "--config", str(cfg)]) == 1
+        assert "2: not UTF-8" in capsys.readouterr().err
+
+    def test_directory_in_place_of_a_file_is_two(self, tmp_path, capsys):
+        assert main(["eval", "--data", str(tmp_path), "--ckpt", str(tmp_path)]) == 2
+        assert main(["train", "--data", str(tmp_path), "--out", str(tmp_path / "m")]) == 2
+
     def test_undefined_correlation_is_five(self, tmp_path, capsys):
         # a zero final layer predicts the uniform distribution for every
         # image, so the decoded scores are constant and PC is undefined

@@ -214,6 +214,8 @@ class TestPpm:
         b"P6\n3 0\n255\n",                       # zero height
         b"P6\n4294967296 4294967296\n255\n",     # far more pixels than the file holds
         b"P6\n2 2\n0x1\n",                       # not decimal
+        pytest.param(b"P6\n" + b"9" * 5000 + b" 1\n255\n",
+                     id="beyond-the-int-digit-limit"),
     ])
     def test_bad_header_is_a_dataset_error(self, tmp_path, header):
         path = tmp_path / "img.ppm"
@@ -295,6 +297,20 @@ class TestIndexFiles:
     def test_missing_index(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_index(tmp_path / "absent.idx")
+
+    def test_row_that_is_not_utf8_reports_row(self, tmp_path):
+        write_ppm(tmp_path / "a.ppm", np.zeros((3, 8, 8), dtype=np.float32))
+        (tmp_path / "d.idx").write_bytes(b"a.ppm,ratings:3\na\xff.ppm,ratings:4\n")
+        with pytest.raises(ValidationError) as exc:
+            load_index(tmp_path / "d.idx")
+        assert "row 2" in str(exc.value) and "UTF-8" in str(exc.value)
+
+    @pytest.mark.parametrize("labels", ["ratings:3;nan", "dist:0.2;0.2;nan;0.2;0.2"])
+    def test_nan_label_rejected(self, tmp_path, labels):
+        write_ppm(tmp_path / "a.ppm", np.zeros((3, 8, 8), dtype=np.float32))
+        (tmp_path / "d.idx").write_text(f"a.ppm,{labels}\n")
+        with pytest.raises((RangeError, ValidationError)):
+            load_index(tmp_path / "d.idx")
 
     def test_malformed_label_token(self, tmp_path):
         write_ppm(tmp_path / "a.ppm", np.zeros((3, 8, 8), dtype=np.float32))

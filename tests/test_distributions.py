@@ -73,6 +73,12 @@ class TestDistributionFromRatings:
             distribution_from_ratings([3, 6.5])
         assert "6.5" in str(exc.value)
 
+    def test_nan_rating_is_out_of_range(self):
+        with pytest.raises(RangeError):
+            distribution_from_ratings([3, float("nan")])
+        with pytest.raises(ValidationError):
+            validate_distribution([0.2, 0.2, float("nan"), 0.2, 0.2])
+
     def test_randomized_outputs_satisfy_invariants(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
@@ -123,12 +129,17 @@ class TestEuclideanLoss:
 
     def test_nonnegative_and_zero_iff_equal(self):
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            a = rng.dirichlet(np.ones(5))
-            b = rng.dirichlet(np.ones(5))
-            v = euclidean_loss(a, b)
-            assert v >= 0
-            assert (v == 0) == bool(np.array_equal(a, b))
+        a = rng.dirichlet(np.ones(5), size=200)
+        b = rng.dirichlet(np.ones(5), size=200)
+        b[::7] = a[::7]
+        for squared in (False, True):
+            rows = euclidean_loss(a, b, squared=squared)
+            assert rows.shape == (200,)
+            for p, t, v in zip(a, b, rows):
+                one = euclidean_loss(p, t, squared=squared)
+                assert isinstance(one, float) and one == v   # the (N,c) call, row by row
+                assert v >= 0
+                assert (v == 0) == bool(np.array_equal(p, t))
 
 
 class TestKlLoss:
@@ -154,10 +165,18 @@ class TestKlLoss:
 
     def test_nonnegative_over_random_pairs(self):
         rng = np.random.default_rng(2)
-        for _ in range(200):
-            a = rng.dirichlet(np.ones(5))
-            b = rng.dirichlet(np.ones(5))
-            assert kl_loss(a, b) >= -1e-9
+        a = rng.dirichlet(np.ones(5), size=200)
+        b = rng.dirichlet(np.ones(5), size=200)
+        a[::5, rng.integers(5)] = 0.0    # zero target degrees take the 0 ln 0 branch
+        b[::11, 0] = 0.0                 # and zero predictions the clamp
+        a /= a.sum(axis=1, keepdims=True)
+        b /= b.sum(axis=1, keepdims=True)
+        rows = kl_loss(a, b)
+        assert rows.shape == (200,)
+        for t, p, v in zip(a, b, rows):
+            one = kl_loss(t, p)
+            assert isinstance(one, float) and one == v   # the (N,c) call, row by row
+            assert v >= -1e-9
 
 
 class TestKlLogitGradient:
@@ -223,6 +242,16 @@ class TestChebyshev:
 
     def test_hand_max(self):
         assert chebyshev([0.5, 0.5, 0, 0, 0], [0.25, 0.25, 0.25, 0.25, 0]) == 0.25
+
+    def test_rows_of_a_batch_match_vector_calls(self):
+        rng = np.random.default_rng(8)
+        a = rng.dirichlet(np.ones(5), size=100)
+        b = rng.dirichlet(np.ones(5), size=100)
+        rows = chebyshev(a, b)
+        assert rows.shape == (100,)
+        for p, t, v in zip(a, b, rows):
+            one = chebyshev(p, t)
+            assert isinstance(one, float) and one == v
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):

@@ -1,0 +1,155 @@
+"""Property tests: random and mutated bytes into every file reader.
+
+A reader may refuse its input only with an ``LdlError`` subclass, and
+``ldl train --config`` may end only in a documented exit code; anything
+else escaping is a failure. Each property draws either arbitrary bytes or a
+valid file with a few bytes flipped, inserted, deleted or cut off. Example
+counts are bounded and the draws derandomized, so the suite grows by
+seconds and fails the same way on every run.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ldlnet import checkpoint as ckpt_io
+from ldlnet.cli import main
+from ldlnet.data import load_index
+from ldlnet.errors import LdlError
+from ldlnet.imageio import read_ppm, write_ppm
+from ldlnet.network import NetworkSpec
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def _mutated(draw, valid):
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 6))):
+        pos = draw(st.integers(0, max(len(data) - 1, 0)))
+        op = draw(st.sampled_from(("set", "insert", "delete", "cut")))
+        if op == "set" and data:
+            data[pos] = draw(st.integers(0, 255))
+        elif op == "insert":
+            data[pos:pos] = draw(st.binary(min_size=1, max_size=8))
+        elif op == "delete":
+            del data[pos:pos + draw(st.integers(1, 8))]
+        else:
+            del data[pos:]
+    return bytes(data)
+
+
+def _blobs(valid):
+    return st.one_of(st.binary(max_size=300), _mutated(valid))
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """A directory with one valid file of each kind, plus their bytes."""
+    root = tmp_path_factory.mktemp("fuzz")
+    ckpt = ckpt_io.Checkpoint(spec=NetworkSpec(), iteration=7, state={
+        "fc.weight": np.arange(6, dtype=np.float32).reshape(2, 3),
+        "stem.bn.gamma": np.ones(4, dtype=np.float32)})
+    ckpt_io.save(ckpt, root / "valid.ckpt")
+    write_ppm(root / "a.ppm", np.linspace(0, 1, 3 * 4 * 5).reshape(3, 4, 5))
+    (root / "valid.idx").write_text(
+        "a.ppm,ratings:3;4;4;5\n"
+        "a.ppm,crop=0;0;4;3,dist:0.1;0.2;0.3;0.2;0.2\n"
+        "# a comment\n")
+    (root / "valid.cfg").write_text(
+        "# run\nloss = kl\nseed = 11\nbatch = 8\niters = 20\nlr = 0.01\n"
+        "blocks = 1,1,1,1\nwidths = 4,6,8,10\nno_skip = yes\ninput_size = 16\n")
+    blobs = {name: (root / name).read_bytes()
+             for name in ("valid.ckpt", "a.ppm", "valid.idx", "valid.cfg")}
+    return root, blobs
+
+
+def _write(root, name, blob):
+    path = root / name
+    path.write_bytes(blob)
+    return path
+
+
+def test_checkpoint_load_raises_only_ldl_errors(valid_files):
+    root, blobs = valid_files
+
+    @FUZZ
+    @given(_blobs(blobs["valid.ckpt"]))
+    def check(blob):
+        path = _write(root, "fuzz.ckpt", blob)
+        try:
+            ckpt = ckpt_io.load(path)
+        except LdlError:
+            return
+        assert all(v.dtype == np.float32 for v in ckpt.state.values())
+
+    check()
+
+
+def test_read_ppm_raises_only_ldl_errors(valid_files):
+    root, blobs = valid_files
+
+    @FUZZ
+    @given(_blobs(blobs["a.ppm"]))
+    def check(blob):
+        path = _write(root, "fuzz.ppm", blob)
+        try:
+            image = read_ppm(path)
+        except LdlError:
+            return
+        assert image.ndim == 3 and image.shape[0] == 3
+        assert image.min() >= 0.0 and image.max() <= 1.0
+
+    check()
+
+
+def test_load_index_raises_only_ldl_errors(valid_files):
+    root, blobs = valid_files
+
+    @FUZZ
+    @given(_blobs(blobs["valid.idx"]), st.sampled_from([None, 8]))
+    def check(blob, image_size):
+        path = _write(root, "fuzz.idx", blob)
+        try:
+            ds = load_index(path, image_size=image_size)
+        except LdlError:
+            return
+        for s in ds.samples:
+            # every accepted row carries a real distribution
+            assert np.all(s.distribution >= 0) and abs(s.distribution.sum() - 1.0) < 1e-6
+            assert np.isfinite(s.mean_score)
+
+    check()
+
+
+def test_train_config_file_ends_in_a_documented_exit_code(valid_files):
+    # --data names an absent file, so no run trains; a config that parses
+    # and validates gets as far as that (exit 2), any other ends in exit 1
+    root, blobs = valid_files
+    args = ["train", "--data", str(root / "absent.idx"), "--out", str(root / "m.ckpt"),
+            "--config", str(root / "fuzz.cfg")]
+
+    @FUZZ
+    @given(_blobs(blobs["valid.cfg"]))
+    def check(blob):
+        _write(root, "fuzz.cfg", blob)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(args) in (1, 2)
+
+    check()
+
+
+def test_valid_files_are_accepted(valid_files):
+    # the seeds of the mutations are themselves valid
+    root, _ = valid_files
+    assert ckpt_io.load(root / "valid.ckpt").iteration == 7
+    assert read_ppm(root / "a.ppm").shape == (3, 4, 5)
+    assert load_index(root / "valid.idx", image_size=8).n == 2
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["train", "--data", str(root / "absent.idx"), "--out", "m",
+                     "--config", str(root / "valid.cfg")]) == 2

@@ -18,6 +18,7 @@ from ldlnet.training import (
     TrainConfig,
     evaluate,
     lr_at,
+    predict_scalar_scores,
     recompute_bn_stats,
     sgd_step,
     train,
@@ -191,6 +192,35 @@ class TestTrainLoop:
         with pytest.raises(ConfigurationError):
             train(ds, TOY, TrainConfig(max_iter=2, batch_size=4, eval_every=1))
 
+    @pytest.mark.parametrize("num_labels", [1, 3])
+    def test_head_must_match_the_score_scale(self, num_labels, monkeypatch):
+        import ldlnet.training as training
+
+        def no_network(spec):
+            raise AssertionError("built a network for a mismatched spec")
+
+        monkeypatch.setattr(training, "Network", no_network)
+        ds = toy_dataset(16, seed=6, train=12)
+        spec = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
+                           input_size=16, num_labels=num_labels)
+        with pytest.raises(ConfigurationError) as exc:
+            train(ds, spec, TrainConfig(max_iter=2, batch_size=4, eval_every=1))
+        assert "num_labels" in str(exc.value)
+
+    def test_single_train_sample_is_a_configuration_error(self):
+        # one sample makes no batch train-mode batch norm accepts
+        ds = toy_dataset(4, seed=6, train=1)
+        with pytest.raises(ConfigurationError):
+            train(ds, TOY, TrainConfig(max_iter=2, batch_size=4, eval_every=1))
+
+    def test_kl_loss_column_is_the_kl_metric(self):
+        # with loss="kl" the reported loss and the KL metric are one computation
+        for seed in (1, 2, 3):
+            ds = toy_dataset(32, seed=seed, train=24)
+            cfg = TrainConfig(max_iter=6, batch_size=8, eval_every=2, seed=seed, loss="kl")
+            _, log = train(ds, TOY, cfg)
+            assert [p.test_loss for p in log.points] == [p.test_kl for p in log.points]
+
     def test_dimension_mismatch_fails_before_training(self):
         ds = toy_dataset(16, seed=6, train=12)
         spec32 = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
@@ -308,6 +338,10 @@ class TestRegressionBaseline:
         ckpt, history = train_mean_regression(ds, spec, cfg)
         assert ckpt.iteration == 10
         assert len(history) == 2
+        net = Network(spec)
+        net.load_state_dict(ckpt.state)
+        scores = predict_scalar_scores(net, ds, ds.test_idx, batch_size=5)
+        assert scores.shape == (len(ds.test_idx),) and scores.dtype == np.float64
 
     def test_rejects_distribution_head(self):
         ds = toy_dataset(16, seed=12, train=12)
