@@ -250,10 +250,13 @@ def conv2d(x, k, stride=1, pad=0):
 
 
 class RunningStats:
-    """Per-channel running mean/variance used by eval-mode batch norm.
+    """Per-channel mean/variance used by eval-mode batch norm.
 
-    ``batch_mean`` and ``batch_var`` hold the statistics of the last
-    train-mode batch itself (None before the first one).
+    In a network, ``mean`` and ``var`` are written only by
+    ``training.recompute_bn_stats`` (population values over the train split),
+    ``reset`` and ``Network.load_state_dict``. ``batch_mean`` and
+    ``batch_var`` hold the statistics of the last train-mode batch itself
+    (None before the first one).
     """
 
     def __init__(self, channels, dtype=np.float32):
@@ -266,12 +269,12 @@ class RunningStats:
         self.var = np.ones_like(self.var)
 
 
-def batch_norm(x, gamma, beta, mode="train", stats=None, momentum=0.9, eps=1e-5):
+def batch_norm(x, gamma, beta, mode="train", stats=None, eps=1e-5):
     """Per-channel normalization of x:(N,C,H,W).
 
-    Train mode normalizes with batch statistics (biased variance), keeps
-    them in ``stats.batch_mean``/``stats.batch_var`` and folds them into
-    ``stats`` with momentum; eval mode normalizes with ``stats``.
+    Train mode normalizes with batch statistics (biased variance) and keeps
+    them in ``stats.batch_mean``/``stats.batch_var``; eval mode normalizes
+    with ``stats.mean``/``stats.var``.
     The backward pass is exact through the batch mean and variance.
     """
     if x.data.ndim != 4:
@@ -291,8 +294,6 @@ def batch_norm(x, gamma, beta, mode="train", stats=None, momentum=0.9, eps=1e-5)
         var = x.data.var(axis=axes)
         if stats is not None:
             stats.batch_mean, stats.batch_var = mu, var
-            stats.mean = (momentum * stats.mean + (1.0 - momentum) * mu).astype(stats.mean.dtype)
-            stats.var = (momentum * stats.var + (1.0 - momentum) * var).astype(stats.var.dtype)
         inv = 1.0 / np.sqrt(var + eps)
         xhat = (x.data - _bc(mu)) * _bc(inv)
         out = Tensor(_bc(gamma.data) * xhat + _bc(beta.data), op="batch_norm")

@@ -5,7 +5,8 @@ Layout (all integers little-endian):
     bytes 0-3   magic "LDLN"
     u32         format version (currently 1)
     u32         header length
-    bytes       header: UTF-8 JSON {"spec": {...}, "iteration": int, "records": int}
+    bytes       header: UTF-8 JSON {"spec": {...}, "iteration": int, "records": int},
+                "spec" holding exactly the NetworkSpec fields
     records     one per named tensor:
                     u32 name length, name bytes (UTF-8),
                     u32 rank, rank x u64 dims,
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -50,32 +51,9 @@ class Checkpoint:
         return cls(spec=network.spec, state=state, iteration=iteration)
 
 
-def _spec_to_dict(spec):
-    return {
-        "block_counts": list(spec.block_counts),
-        "stage_widths": list(spec.stage_widths),
-        "block_kind": spec.block_kind,
-        "skip_connections": spec.skip_connections,
-        "input_size": spec.input_size,
-        "num_labels": spec.num_labels,
-        "stem_kernel": spec.stem_kernel,
-        "stem_stride": spec.stem_stride,
-        "stem_pool_window": spec.stem_pool_window,
-        "stem_pool_stride": spec.stem_pool_stride,
-        "stem_pool_pad": spec.stem_pool_pad,
-    }
-
-
-def _spec_from_dict(d):
-    d = dict(d)
-    d["block_counts"] = tuple(d["block_counts"])
-    d["stage_widths"] = tuple(d["stage_widths"])
-    return NetworkSpec(**d)
-
-
 def save(ckpt, path):
     header = json.dumps({
-        "spec": _spec_to_dict(ckpt.spec),
+        "spec": asdict(ckpt.spec),
         "iteration": int(ckpt.iteration),
         "records": len(ckpt.state),
     }).encode("utf-8")
@@ -116,10 +94,15 @@ def load(path):
         hlen = struct.unpack("<I", _read_exact(fh, 4, "header length"))[0]
         try:
             header = json.loads(_read_exact(fh, hlen, "header").decode("utf-8"))
-            spec = _spec_from_dict(header["spec"])
+            spec = header["spec"]
+            names = {f.name for f in fields(NetworkSpec)}
+            if set(spec) != names:
+                raise CheckpointError(f"header spec keys: missing {sorted(names - set(spec))}, "
+                                      f"unknown {sorted(set(spec) - names)}")
+            spec = NetworkSpec(**spec)
             iteration = int(header["iteration"])
             n_records = int(header["records"])
-        except CheckpointTruncatedError:
+        except CheckpointError:
             raise
         except Exception as exc:
             raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc

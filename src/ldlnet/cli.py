@@ -84,13 +84,11 @@ _VERB_OPTS = {
         "ckpt": (str, None, "checkpoint path (required)"),
         "out": (str, None, "optional per-sample CSV path"),
         "loss": (LOSS_KINDS, "euclidean", "loss column to report"),
-        "seed": (int, 0, "random seed"),
     },
     "predict": {
         "ckpt": (str, None, "checkpoint path (required)"),
         "image": (str, None, "image path, PPM or PNG (required)"),
         "crop": (str, None, "face crop box x0,y0,x1,y1"),
-        "seed": (int, 0, "random seed"),
     },
     "gradcheck": {
         "seeds": (int, 50, "random draws per op"),
@@ -103,7 +101,6 @@ _VERB_OPTS = {
         "src": (str, None, "input path (required)"),
         "out": (str, None, "output path (required)"),
         "labels_as": (("auto", "ratings", "dist"), "auto", "dataset label representation"),
-        "seed": (int, 0, "random seed"),
     },
 }
 

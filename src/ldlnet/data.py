@@ -127,17 +127,17 @@ def _format_value(v):
     return f"{f:.10g}"
 
 
-def save_index(dataset, index_path, image_dir=None, labels="auto"):
-    """Write the index plus one PPM per sample; returns the index path.
+def save_index(dataset, index_path, labels="auto"):
+    """Write the index plus one PPM per sample into ``<index stem>_images``
+    beside it; returns the index path.
 
     ``labels`` picks the row form: "ratings" / "dist" / "auto" (ratings when
     the sample has them).
     """
     index_path = str(index_path)
     base = os.path.dirname(os.path.abspath(index_path))
-    if image_dir is None:
-        stem = os.path.splitext(os.path.basename(index_path))[0]
-        image_dir = os.path.join(base, stem + "_images")
+    stem = os.path.splitext(os.path.basename(index_path))[0]
+    image_dir = os.path.join(base, stem + "_images")
     os.makedirs(image_dir, exist_ok=True)
     lines = []
     for i, s in enumerate(dataset.samples):

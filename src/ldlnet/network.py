@@ -10,6 +10,7 @@ convolutions with every shortcut removed.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,18 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigurationError, DimensionError
 
-BOTTLENECK_EXPANSION = 4
+# main-path (conv, BN) units of each block kind: (kernel, width as a multiple
+# of the stage width, whether the unit takes the block's stride)
+BLOCK_LAYOUTS = {
+    "basic": ((3, 1, True), (3, 1, False)),
+    "bottleneck": ((1, 1, False), (3, 1, True), (1, 4, False)),
+}
 # initial gamma of the last batch norm in each residual branch (skip nets only)
 BRANCH_END_GAMMA = 0.1
+
+
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -39,28 +49,28 @@ class NetworkSpec:
     stem_pool_pad: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "block_counts", tuple(int(n) for n in self.block_counts))
-        object.__setattr__(self, "stage_widths", tuple(int(w) for w in self.stage_widths))
-        if len(self.block_counts) != 4 or len(self.stage_widths) != 4:
-            raise ConfigurationError("block_counts and stage_widths must each have 4 entries")
-        if any(n < 1 for n in self.block_counts):
-            raise ConfigurationError(f"block counts must be >= 1, got {self.block_counts}")
-        if any(w < 1 for w in self.stage_widths):
-            raise ConfigurationError(f"stage widths must be >= 1, got {self.stage_widths}")
-        if self.block_kind not in ("basic", "bottleneck"):
-            raise ConfigurationError(f"block_kind must be 'basic' or 'bottleneck', got {self.block_kind!r}")
-        if self.num_labels < 1:
-            raise ConfigurationError(f"num_labels must be >= 1, got {self.num_labels}")
-        if self.input_size < 1:
-            raise ConfigurationError(f"input_size must be >= 1, got {self.input_size}")
-
-    @property
-    def expansion(self):
-        return BOTTLENECK_EXPANSION if self.block_kind == "bottleneck" else 1
+        for name in ("block_counts", "stage_widths"):
+            value = getattr(self, name)
+            entries = tuple(value) if isinstance(value, (tuple, list)) else ()
+            if len(entries) != 4 or not all(_is_int(n) and n >= 1 for n in entries):
+                raise ConfigurationError(f"{name} must be 4 integers >= 1, got {value!r}")
+            object.__setattr__(self, name, tuple(int(n) for n in entries))
+        if not isinstance(self.block_kind, str) or self.block_kind not in BLOCK_LAYOUTS:
+            raise ConfigurationError(
+                f"block_kind must be one of {tuple(BLOCK_LAYOUTS)}, got {self.block_kind!r}")
+        if not isinstance(self.skip_connections, bool):
+            raise ConfigurationError(
+                f"skip_connections must be a bool, got {self.skip_connections!r}")
+        for name in ("input_size", "num_labels", "stem_kernel", "stem_stride",
+                     "stem_pool_window", "stem_pool_stride", "stem_pool_pad"):
+            value, low = getattr(self, name), 0 if name == "stem_pool_pad" else 1
+            if not _is_int(value) or value < low:
+                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, int(value))
 
     def weighted_layer_count(self):
         """Main-path conv layers plus stem conv plus the dense head."""
-        per_block = 3 if self.block_kind == "bottleneck" else 2
+        per_block = len(BLOCK_LAYOUTS[self.block_kind])
         return 1 + per_block * sum(n + 1 for n in self.block_counts) + 1
 
 
@@ -112,9 +122,9 @@ def stage_spatial_sizes(spec):
 # ---------------------------------------------------------------------------
 
 class ConvUnit:
-    def __init__(self, in_ch, out_ch, kernel, stride=1, pad=None, dtype=np.float32):
+    def __init__(self, in_ch, out_ch, kernel, stride=1, dtype=np.float32):
         self.stride = stride
-        self.pad = kernel // 2 if pad is None else pad
+        self.pad = kernel // 2
         self.weight = ad.Tensor(
             np.zeros((out_ch, in_ch, kernel, kernel), dtype=dtype), requires_grad=True, op="param")
 
@@ -143,51 +153,36 @@ class DenseUnit:
 
 
 class ResidualBlock:
-    """One basic (3x3-3x3) or bottleneck (1x1-3x3-1x1) unit.
+    """One basic (3x3-3x3) or bottleneck (1x1-3x3-1x1) block: a list of
+    (conv, BN) units with a ReLU between them.
 
     With skips enabled, a 1x1 projection shortcut (conv + BN) bridges any
     stride or channel change; without skips the same main path stands alone.
     """
 
     def __init__(self, kind, in_ch, base_width, stride, skip, dtype=np.float32):
-        self.kind = kind
         self.skip = skip
-        out_ch = base_width * (BOTTLENECK_EXPANSION if kind == "bottleneck" else 1)
-        self.out_channels = out_ch
-        if kind == "basic":
-            self.conv1 = ConvUnit(in_ch, base_width, 3, stride, dtype=dtype)
-            self.bn1 = NormUnit(base_width, dtype=dtype)
-            self.conv2 = ConvUnit(base_width, base_width, 3, 1, dtype=dtype)
-            self.bn2 = NormUnit(base_width, dtype=dtype)
-            self.conv3 = None
-            self.bn3 = None
-        else:
-            self.conv1 = ConvUnit(in_ch, base_width, 1, 1, pad=0, dtype=dtype)
-            self.bn1 = NormUnit(base_width, dtype=dtype)
-            self.conv2 = ConvUnit(base_width, base_width, 3, stride, dtype=dtype)
-            self.bn2 = NormUnit(base_width, dtype=dtype)
-            self.conv3 = ConvUnit(base_width, out_ch, 1, 1, pad=0, dtype=dtype)
-            self.bn3 = NormUnit(out_ch, dtype=dtype)
-        if skip and (stride != 1 or in_ch != out_ch):
-            self.proj_conv = ConvUnit(in_ch, out_ch, 1, stride, pad=0, dtype=dtype)
-            self.proj_bn = NormUnit(out_ch, dtype=dtype)
-        else:
-            self.proj_conv = None
-            self.proj_bn = None
+        self.units = []
+        ch = in_ch
+        for kernel, mult, strided in BLOCK_LAYOUTS[kind]:
+            conv = ConvUnit(ch, base_width * mult, kernel, stride if strided else 1, dtype=dtype)
+            ch = base_width * mult
+            self.units.append((conv, NormUnit(ch, dtype=dtype)))
+        self.out_channels = ch
+        self.proj_conv = self.proj_bn = None
+        if skip and (stride != 1 or in_ch != ch):
+            self.proj_conv = ConvUnit(in_ch, ch, 1, stride, dtype=dtype)
+            self.proj_bn = NormUnit(ch, dtype=dtype)
 
     def main_convs(self):
-        convs = [self.conv1, self.conv2]
-        if self.conv3 is not None:
-            convs.append(self.conv3)
-        return convs
+        return [conv for conv, _ in self.units]
 
     def forward(self, x, mode):
-        out = ad.relu(self.bn1.forward(self.conv1.forward(x), mode))
-        if self.kind == "basic":
-            out = self.bn2.forward(self.conv2.forward(out), mode)
-        else:
-            out = ad.relu(self.bn2.forward(self.conv2.forward(out), mode))
-            out = self.bn3.forward(self.conv3.forward(out), mode)
+        out = x
+        for i, (conv, norm) in enumerate(self.units):
+            if i:
+                out = ad.relu(out)
+            out = norm.forward(conv.forward(out), mode)
         if self.skip:
             shortcut = x
             if self.proj_conv is not None:
@@ -245,30 +240,25 @@ class Network:
 
     # -- registry ----------------------------------------------------------
 
-    def _add_norm(self, name, norm, branch_end=False):
-        self._records.append(
-            ParamRecord(f"{name}.gamma", norm.gamma, "bn_gamma", branch_end=branch_end))
-        self._records.append(ParamRecord(f"{name}.beta", norm.beta, "bn_beta"))
-        self._stat_entries.append((name, norm.stats))
+    def _add_unit(self, conv_name, bn_name, conv, norm, branch_end=False):
+        self._records += [
+            ParamRecord(f"{conv_name}.weight", conv.weight, "weight"),
+            ParamRecord(f"{bn_name}.gamma", norm.gamma, "bn_gamma", branch_end=branch_end),
+            ParamRecord(f"{bn_name}.beta", norm.beta, "bn_beta")]
+        self._stat_entries.append((bn_name, norm.stats))
 
     def _register(self):
-        self._records.append(ParamRecord("stem.conv.weight", self.stem_conv.weight, "weight"))
-        self._add_norm("stem.bn", self.stem_bn)
+        self._add_unit("stem.conv", "stem.bn", self.stem_conv, self.stem_bn)
         for i, blocks in enumerate(self.stages):
             for j, blk in enumerate(blocks):
                 base = f"stage{i + 1}.block{j}"
-                convs = blk.main_convs()
-                for ci, conv in enumerate(convs, start=1):
-                    self._records.append(
-                        ParamRecord(f"{base}.conv{ci}.weight", conv.weight, "weight"))
-                    self._add_norm(f"{base}.bn{ci}", [blk.bn1, blk.bn2, blk.bn3][ci - 1],
-                                   branch_end=blk.skip and ci == len(convs))
+                for ci, (conv, norm) in enumerate(blk.units, start=1):
+                    self._add_unit(f"{base}.conv{ci}", f"{base}.bn{ci}", conv, norm,
+                                   branch_end=blk.skip and ci == len(blk.units))
                 if blk.proj_conv is not None:
-                    self._records.append(
-                        ParamRecord(f"{base}.proj.weight", blk.proj_conv.weight, "weight"))
-                    self._add_norm(f"{base}.proj.bn", blk.proj_bn)
-        self._records.append(ParamRecord("fc.weight", self.fc.weight, "weight", last_layer=True))
-        self._records.append(ParamRecord("fc.bias", self.fc.bias, "bias", last_layer=True))
+                    self._add_unit(f"{base}.proj", f"{base}.proj.bn", blk.proj_conv, blk.proj_bn)
+        self._records += [ParamRecord("fc.weight", self.fc.weight, "weight", last_layer=True),
+                          ParamRecord("fc.bias", self.fc.bias, "bias", last_layer=True)]
 
     def param_records(self):
         return list(self._records)
@@ -285,11 +275,7 @@ class Network:
 
     def weighted_layer_count(self):
         """Stem conv + main-path convs + dense head, by inspection of the built graph."""
-        n = 1  # stem
-        for blocks in self.stages:
-            for blk in blocks:
-                n += len(blk.main_convs())
-        return n + 1  # dense head
+        return 1 + sum(len(blk.units) for blocks in self.stages for blk in blocks) + 1
 
     # -- forward -----------------------------------------------------------
 
@@ -378,5 +364,5 @@ def init_weights(network, seed):
             t.data = np.zeros_like(t.data)
         elif rec.kind == "bn_gamma":
             t.data = np.full_like(t.data, BRANCH_END_GAMMA if rec.branch_end else 1.0)
-    for _, stats in network._stat_entries:
+    for stats in network.running_stats():
         stats.reset()

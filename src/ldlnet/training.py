@@ -11,11 +11,11 @@ scale/shift parameters are exempt from weight decay. Everything is
 deterministic in (dataset, spec, config): weight init and batch shuffling
 derive from config.seed.
 
-Before each evaluation point of ``train``, and before
-``train_mean_regression`` returns, every batch-norm layer's running
-statistics are recomputed as population averages over the train split
-(``recompute_bn_stats``), so eval-mode losses and the returned checkpoint
-describe the trained weights rather than a moving average that lags them.
+Train-mode batch norm keeps no moving average. Before each evaluation point
+of ``train``, and before ``train_mean_regression`` returns, every batch-norm
+layer's eval-mode statistics are set to population averages over the train
+split (``recompute_bn_stats``), so eval-mode losses and the returned
+checkpoint describe the trained weights.
 """
 
 from __future__ import annotations

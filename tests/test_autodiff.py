@@ -206,13 +206,15 @@ class TestBatchNorm:
             ad.batch_norm(t64(np.ones((1, 2, 3, 3))), t64(np.ones(2)), t64(np.zeros(2)),
                           mode="train")
 
-    def test_running_stats_momentum(self):
+    def test_train_mode_keeps_only_the_batch_statistics(self):
+        # eval-mode statistics come from training.recompute_bn_stats alone
         rng = np.random.default_rng(6)
-        x = t64(rng.normal(2.0, 1.0, size=(8, 1, 4, 4)))
-        stats = ad.RunningStats(1, dtype=np.float64)
-        ad.batch_norm(x, t64(np.ones(1)), t64(np.zeros(1)), mode="train", stats=stats)
-        mu = x.data.mean()
-        assert np.allclose(stats.mean, 0.9 * 0.0 + 0.1 * mu)
+        x = t64(rng.normal(2.0, 1.5, size=(8, 2, 4, 4)))
+        stats = ad.RunningStats(2, dtype=np.float64)
+        ad.batch_norm(x, t64(np.ones(2)), t64(np.zeros(2)), mode="train", stats=stats)
+        assert np.array_equal(stats.mean, np.zeros(2)) and np.array_equal(stats.var, np.ones(2))
+        assert np.allclose(stats.batch_mean, x.data.mean(axis=(0, 2, 3)))
+        assert np.allclose(stats.batch_var, x.data.var(axis=(0, 2, 3)))
 
 
 class TestRelu:

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -47,6 +48,19 @@ class TestRoundTrip:
         a = net.forward(batch, mode="eval").distribution.data
         b = other.forward(batch, mode="eval").distribution.data
         assert np.array_equal(a, b)
+
+    def test_header_is_every_spec_field_in_declaration_order(self, tmp_path):
+        _, ckpt = _toy_checkpoint()
+        path = tmp_path / "net.ckpt"
+        ckpt_io.save(ckpt, path)
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<I", blob[8:12])
+        assert blob[12:12 + hlen] == (
+            b'{"spec": {"block_counts": [1, 1, 1, 1], "stage_widths": [4, 6, 8, 10], '
+            b'"block_kind": "basic", "skip_connections": true, "input_size": 16, '
+            b'"num_labels": 5, "stem_kernel": 3, "stem_stride": 1, "stem_pool_window": 2, '
+            b'"stem_pool_stride": 2, "stem_pool_pad": 0}, "iteration": 123, "records": '
+            + str(len(ckpt.state)).encode() + b"}")
 
     def test_double_round_trip_identical_bytes(self, tmp_path):
         _, ckpt = _toy_checkpoint()
@@ -96,10 +110,51 @@ class TestCorruption:
             ckpt_io.load(tmp_path / "absent.ckpt")
 
 
+def _with_header_spec(path, spec):
+    """A valid toy checkpoint whose header carries ``spec`` instead."""
+    _, ckpt = _toy_checkpoint()
+    ckpt_io.save(ckpt, path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    header["spec"] = spec
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:])
+    return path
+
+
+class TestHeaderSpec:
+    def test_unchanged_header_loads(self, tmp_path):
+        path = _with_header_spec(tmp_path / "same.ckpt", asdict(TOY))
+        assert ckpt_io.load(path).spec == TOY
+
+    @pytest.mark.parametrize("key", ["stem_pool_pad", "block_counts", "num_labels"])
+    def test_missing_key_is_refused(self, tmp_path, key):
+        spec = asdict(TOY)
+        del spec[key]
+        with pytest.raises(CheckpointError) as exc:
+            ckpt_io.load(_with_header_spec(tmp_path / "missing.ckpt", spec))
+        assert key in str(exc.value)
+
+    def test_unknown_key_is_refused(self, tmp_path):
+        spec = {**asdict(TOY), "dropout": 0.5}
+        with pytest.raises(CheckpointError) as exc:
+            ckpt_io.load(_with_header_spec(tmp_path / "extra.ckpt", spec))
+        assert "dropout" in str(exc.value)
+
+    @pytest.mark.parametrize("key,value", [("stem_stride", 0), ("num_labels", 5.5),
+                                           ("skip_connections", "no"), ("stem_pool_pad", -1)])
+    def test_bad_value_is_refused(self, tmp_path, key, value):
+        spec = {**asdict(TOY), key: value}
+        with pytest.raises(CheckpointError) as exc:
+            ckpt_io.load(_with_header_spec(tmp_path / "bad.ckpt", spec))
+        assert key in str(exc.value)
+
+
 def _one_record_file(path, record, name=b"w"):
     """A checkpoint with a valid header declaring one record named ``name``,
     whose bytes after the name are ``record``."""
-    header = json.dumps({"spec": ckpt_io._spec_to_dict(TOY), "iteration": 0,
+    header = json.dumps({"spec": asdict(TOY), "iteration": 0,
                          "records": 1}).encode("utf-8")
     path.write_bytes(ckpt_io.MAGIC + struct.pack("<II", ckpt_io.VERSION, len(header))
                      + header + struct.pack("<I", len(name)) + name + record)

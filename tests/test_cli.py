@@ -119,15 +119,30 @@ class TestExitCodes:
 
     def test_checkpoint_with_huge_rank_is_three(self, tmp_path, capsys):
         import json
+        from dataclasses import asdict
 
         from ldlnet import checkpoint as ckpt_io
         from ldlnet.network import NetworkSpec
-        header = json.dumps({"spec": ckpt_io._spec_to_dict(NetworkSpec()), "iteration": 0,
+        header = json.dumps({"spec": asdict(NetworkSpec()), "iteration": 0,
                              "records": 1}).encode("utf-8")
         bad = tmp_path / "rank.ckpt"
         bad.write_bytes(ckpt_io.MAGIC + struct.pack("<II", ckpt_io.VERSION, len(header))
                         + header + struct.pack("<I", 1) + b"w" + struct.pack("<I", 2**31))
         assert main(["predict", "--ckpt", str(bad), "--image", "unread.ppm"]) == 3
+
+    @pytest.mark.parametrize("key,value", [("stem_stride", 0), ("num_labels", 5.5),
+                                           ("skip_connections", "no"), ("stem_pool_pad", -1)])
+    def test_checkpoint_with_a_bad_spec_value_is_three(self, tmp_path, capsys, key, value):
+        from ldlnet import checkpoint as ckpt_io
+        from ldlnet.network import Network, NetworkSpec, init_weights
+        net = Network(NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
+                                  input_size=16))
+        init_weights(net, 0)
+        ckpt = ckpt_io.Checkpoint.from_network(net)
+        object.__setattr__(ckpt.spec, key, value)   # past the spec's own check
+        ckpt_io.save(ckpt, tmp_path / "m.ckpt")
+        assert main(["predict", "--ckpt", str(tmp_path / "m.ckpt"), "--image", "unread.ppm"]) == 3
+        assert key in capsys.readouterr().err
 
     @pytest.mark.parametrize("num_labels", [1, 3])
     def test_head_that_does_not_fit_the_scale_is_one(self, tmp_path, capsys, num_labels):
@@ -259,7 +274,7 @@ class TestVerbRoundTrip:
               "--image", str(workspace / "d_images" / "img_00001.ppm")])
         out = capsys.readouterr().out
         assert out.index("verb = predict") < out.index("degrees:")
-        assert "ckpt = " in out and "seed = 0" in out
+        assert "ckpt = " in out and "image = " in out
 
     def test_export_checkpoint_round_trip(self, workspace, capsys):
         from ldlnet import checkpoint as ckpt_io

@@ -39,6 +39,19 @@ class TestSpec:
         with pytest.raises(ConfigurationError):
             NetworkSpec(block_counts=(0, 1, 1, 1))
 
+    @pytest.mark.parametrize("field,value", [
+        ("stem_stride", 0), ("num_labels", 5.5), ("skip_connections", "no"),
+        ("stem_pool_pad", -1), ("input_size", True), ("stem_kernel", "3"),
+        ("stem_pool_window", None), ("stem_pool_stride", 0), ("block_counts", "1111"),
+        ("stage_widths", (8, 16, 32, 64.0)), ("block_counts", 1), ("block_kind", ["basic"])])
+    def test_every_field_is_validated(self, field, value):
+        with pytest.raises(ConfigurationError) as exc:
+            NetworkSpec(**{field: value})
+        assert field in str(exc.value)
+
+    def test_stem_pool_pad_may_be_zero(self):
+        assert NetworkSpec(stem_pool_pad=0).stem_pool_pad == 0
+
     def test_spatial_collapse_reports_the_failing_stage(self):
         # with kernel//2 padding the block convs bottom out at 1x1, so the
         # reachable collapse is the stem pool outgrowing its feature map
@@ -125,10 +138,12 @@ class TestInitWeights:
 
             def __init__(self):
                 self.unit = DenseUnit(64, 64)
-                self._stat_entries = []
 
             def param_records(self):
                 return [ParamRecord("fc.weight", self.unit.weight, "weight")]
+
+            def running_stats(self):
+                return []
 
         holder = _Holder()
         init_weights(holder, 7)

@@ -1,15 +1,20 @@
 """Property tests: random and mutated bytes into every file reader.
 
 A reader may refuse its input only with an ``LdlError`` subclass, and
-``ldl train --config`` may end only in a documented exit code; anything
-else escaping is a failure. Each property draws either arbitrary bytes or a
-valid file with a few bytes flipped, inserted, deleted or cut off. Example
-counts are bounded and the draws derandomized, so the suite grows by
-seconds and fails the same way on every run.
+``ldl train --config`` and ``ldl predict`` may end only in a documented exit
+code; anything else escaping is a failure. Each byte property draws either
+arbitrary bytes or a valid file with a few bytes flipped, inserted, deleted
+or cut off; the checkpoint header property draws spec dicts with fields
+dropped, added or set to odd values. Example counts are bounded and the
+draws derandomized, so the suite grows by seconds and fails the same way on
+every run.
 """
 
 import contextlib
 import io
+import json
+import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -21,7 +26,7 @@ from ldlnet.cli import main
 from ldlnet.data import load_index
 from ldlnet.errors import LdlError
 from ldlnet.imageio import read_ppm, write_ppm
-from ldlnet.network import NetworkSpec
+from ldlnet.network import Network, NetworkSpec, init_weights
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -140,6 +145,58 @@ def test_train_config_file_ends_in_a_documented_exit_code(valid_files):
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert main(args) in (1, 2)
+
+    check()
+
+
+TOY = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10), input_size=16)
+_ODD_VALUES = st.one_of(st.just(0), st.integers(-5, -1), st.floats(), st.text(max_size=4),
+                        st.booleans(), st.none(), st.lists(st.integers(-2, 3), max_size=5))
+
+
+@st.composite
+def _header_specs(draw):
+    """The toy spec as a header dict, with a few fields dropped, added or
+    set to 0, negatives, floats, strings, bools, null or short lists."""
+    spec = asdict(TOY)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("drop", "add", "set")))
+        key = draw(st.sampled_from(sorted(spec) or ["block_counts"]))
+        if op == "drop":
+            spec.pop(key, None)
+        elif op == "add":
+            spec[draw(st.text(min_size=1, max_size=8))] = draw(_ODD_VALUES)
+        else:
+            spec[key] = draw(_ODD_VALUES)
+    return spec
+
+
+def test_checkpoint_header_spec_ends_in_ldl_errors_or_exit_codes(tmp_path):
+    # the records are those of a real toy network, so an untouched spec
+    # predicts (exit 0), a spec that loads but does not fit them is exit 1,
+    # and a spec that does not load is exit 3
+    net = Network(TOY)
+    init_weights(net, 0)
+    ckpt_io.save(ckpt_io.Checkpoint.from_network(net), tmp_path / "toy.ckpt")
+    blob = (tmp_path / "toy.ckpt").read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    write_ppm(tmp_path / "face.ppm", np.linspace(0, 1, 3 * 16 * 16).reshape(3, 16, 16))
+    args = ["predict", "--ckpt", str(tmp_path / "fuzz.ckpt"), "--image", str(tmp_path / "face.ppm")]
+
+    @FUZZ
+    @given(_header_specs())
+    def check(spec):
+        raw = json.dumps({**header, "spec": spec}).encode("utf-8")
+        (tmp_path / "fuzz.ckpt").write_bytes(
+            blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:])
+        try:
+            ckpt_io.load(tmp_path / "fuzz.ckpt")
+        except LdlError:
+            pass
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(args) in (0, 1, 3)
 
     check()
 
