@@ -270,12 +270,13 @@ class RunningStats:
 
 
 def batch_norm(x, gamma, beta, mode="train", stats=None, eps=1e-5):
-    """Per-channel normalization of x:(N,C,H,W).
+    """Per-channel normalization of x:(N,C,H,W); one forward and one
+    backward serve both modes.
 
-    Train mode normalizes with batch statistics (biased variance) and keeps
-    them in ``stats.batch_mean``/``stats.batch_var``; eval mode normalizes
-    with ``stats.mean``/``stats.var``.
-    The backward pass is exact through the batch mean and variance.
+    Train mode normalizes with the batch statistics (the biased variance is
+    taken from the centred input), keeps them in ``stats.batch_mean``/
+    ``batch_var``, and its backward is exact through them. Eval mode
+    normalizes with ``stats.mean``/``stats.var``.
     """
     if x.data.ndim != 4:
         raise DimensionError(f"batch_norm expects (N,C,H,W), got {x.shape}")
@@ -284,51 +285,40 @@ def batch_norm(x, gamma, beta, mode="train", stats=None, eps=1e-5):
         raise DimensionError(
             f"batch_norm gamma/beta must have shape ({c},), got {gamma.shape}/{beta.shape}")
     axes = (0, 2, 3)
-
     if mode == "train":
         if x.shape[0] < 2:
             raise BatchSizeError(
                 f"batch_norm train mode needs batch size >= 2, got {x.shape[0]}")
-        m = float(x.shape[0] * x.shape[2] * x.shape[3])
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xhat = x.data - _bc(mu)
+        var = (xhat * xhat).mean(axis=axes)
         if stats is not None:
             stats.batch_mean, stats.batch_var = mu, var
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - _bc(mu)) * _bc(inv)
-        out = Tensor(_bc(gamma.data) * xhat + _bc(beta.data), op="batch_norm")
-
-        def bwd(g):
-            sum_g = g.sum(axis=axes)
-            sum_gx = (g * xhat).sum(axis=axes)
-            if gamma.requires_grad:
-                _accum(gamma, sum_gx)
-            if beta.requires_grad:
-                _accum(beta, sum_g)
-            if x.requires_grad:
-                coef = _bc(gamma.data * inv) / m
-                _accum(x, coef * (m * g - _bc(sum_g) - xhat * _bc(sum_gx)))
-
-        return _wire(out, (x, gamma, beta), bwd)
-
-    if mode == "eval":
+    elif mode == "eval":
         if stats is None:
             raise ConfigurationError("batch_norm eval mode requires running stats")
-        inv = 1.0 / np.sqrt(stats.var.astype(x.dtype) + eps)
-        xhat = (x.data - _bc(stats.mean.astype(x.dtype))) * _bc(inv)
-        out = Tensor(_bc(gamma.data) * xhat + _bc(beta.data), op="batch_norm")
+        var = stats.var.astype(x.dtype)
+        xhat = x.data - _bc(stats.mean.astype(x.dtype))
+    else:
+        raise ConfigurationError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat *= _bc(inv)
+    out = Tensor(_bc(gamma.data) * xhat + _bc(beta.data), op="batch_norm")
 
-        def bwd(g):
-            if gamma.requires_grad:
-                _accum(gamma, (g * xhat).sum(axis=axes))
-            if beta.requires_grad:
-                _accum(beta, g.sum(axis=axes))
-            if x.requires_grad:
-                _accum(x, g * _bc(gamma.data * inv))
+    def bwd(g):
+        sum_g = g.sum(axis=axes)
+        sum_gx = (g * xhat).sum(axis=axes)
+        if gamma.requires_grad:
+            _accum(gamma, sum_gx)
+        if beta.requires_grad:
+            _accum(beta, sum_g)
+        if x.requires_grad and mode == "eval":
+            _accum(x, g * _bc(gamma.data * inv))
+        elif x.requires_grad:
+            m = x.data.size / c
+            _accum(x, _bc(gamma.data * inv) / m * (m * g - _bc(sum_g) - xhat * _bc(sum_gx)))
 
-        return _wire(out, (x, gamma, beta), bwd)
-
-    raise ConfigurationError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
+    return _wire(out, (x, gamma, beta), bwd)
 
 
 def relu(x):
@@ -343,59 +333,57 @@ def relu(x):
 
 
 def pool(x, mode, window, stride=None):
-    """Square max/avg pooling over x:(N,C,H,W).
+    """Square max pooling, or global average pooling, of x:(N,C,H,W).
 
-    Max pooling routes the gradient to the argmax (first-index tie-break);
-    avg pooling distributes it uniformly. Global average pooling is the
-    window == spatial-size case.
+    Max pooling is a running maximum over the window**2 strided slabs
+    ``x[:, :, u::stride, v::stride]``; the backward sends each gradient to
+    the first slab, in row-major order, that holds the maximum. Average
+    pooling needs window == H == W: a per-channel mean, backward g/(H*W).
     """
     if mode not in ("max", "avg"):
         raise ConfigurationError(f"pool mode must be 'max' or 'avg', got {mode!r}")
     if x.data.ndim != 4:
         raise DimensionError(f"pool expects (N,C,H,W), got {x.shape}")
     stride = window if stride is None else stride
-    n, c, h, w = x.shape
+    h, w = x.shape[2:]
     if window > h or window > w:
         raise ConfigurationError(f"pool window {window} exceeds spatial dims {h}x{w}")
     if window < 1 or stride < 1:
         raise ConfigurationError("pool window and stride must be >= 1")
-    ho = (h - window) // stride + 1
-    wo = (w - window) // stride + 1
-    s0, s1, s2, s3 = x.data.strides
-    win = np.lib.stride_tricks.as_strided(
-        x.data,
-        (n, c, ho, wo, window, window),
-        (s0, s1, s2 * stride, s3 * stride, s2, s3),
-        writeable=False,
-    )
 
     if mode == "avg":
-        out = Tensor(win.mean(axis=(4, 5)), op="avg_pool")
+        if window != h or window != w:
+            raise ConfigurationError(
+                f"average pooling is global only: window {window} on {h}x{w}")
+        out = Tensor(x.data.mean(axis=(2, 3), keepdims=True), op="avg_pool")
 
         def bwd(g):
-            if not x.requires_grad:
-                return
-            dx = np.zeros_like(x.data)
-            share = g / (window * window)
-            for u in range(window):
-                for v in range(window):
-                    dx[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += share
-            _accum(x, dx)
+            if x.requires_grad:
+                _accum(x, np.broadcast_to(g / (h * w), x.shape).copy())
 
         return _wire(out, (x,), bwd)
 
-    flat = win.reshape(n, c, ho, wo, window * window)
-    idx = flat.argmax(axis=4)
-    out = Tensor(np.take_along_axis(flat, idx[..., None], axis=4)[..., 0], op="max_pool")
+    ho = (h - window) // stride + 1
+    wo = (w - window) // stride + 1
+    offsets = [(u, v) for u in range(window) for v in range(window)]
+
+    def slab(a, u, v):
+        return a[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride]
+
+    top = slab(x.data, 0, 0).copy()
+    for u, v in offsets[1:]:
+        np.maximum(top, slab(x.data, u, v), out=top)
+    out = Tensor(top, op="max_pool")
 
     def bwd(g):
         if not x.requires_grad:
             return
         dx = np.zeros_like(x.data)
-        for u in range(window):
-            for v in range(window):
-                dx[:, :, u:u + stride * ho:stride, v:v + stride * wo:stride] += \
-                    g * (idx == u * window + v)
+        free = np.ones(top.shape, dtype=bool)   # outputs no earlier slab has taken
+        for u, v in offsets:
+            hit = free & (slab(x.data, u, v) == top)
+            free &= ~hit
+            slab(dx, u, v)[...] += g * hit
         _accum(x, dx)
 
     return _wire(out, (x,), bwd)

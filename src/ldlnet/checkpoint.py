@@ -82,6 +82,14 @@ def _read_exact(fh, n, what):
     return fh.read(n)
 
 
+def _count(header, key):
+    """The header's ``key``, which must be a JSON integer >= 0 (not a bool)."""
+    value = header[key]
+    if type(value) is not int or value < 0:
+        raise CheckpointError(f"header {key} must be an integer >= 0, got {value!r}")
+    return value
+
+
 def load(path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -100,8 +108,8 @@ def load(path):
                 raise CheckpointError(f"header spec keys: missing {sorted(names - set(spec))}, "
                                       f"unknown {sorted(set(spec) - names)}")
             spec = NetworkSpec(**spec)
-            iteration = int(header["iteration"])
-            n_records = int(header["records"])
+            iteration = _count(header, "iteration")
+            n_records = _count(header, "records")
         except CheckpointError:
             raise
         except Exception as exc:

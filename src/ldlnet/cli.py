@@ -6,7 +6,7 @@ every run prints the resolved configuration before acting.
 
 Exit codes:
     0  success
-    1  usage or configuration error
+    1  usage or configuration error, and any other LdlError
     2  file not found / unreadable referenced file (a directory, no permission)
     3  invalid data or checkpoint format
     4  numerical failure (non-finite values)
@@ -24,6 +24,16 @@ import os
 import sys
 
 from .distributions import LOSS_KINDS
+from .errors import (
+    CheckpointError,
+    ConfigurationError,
+    DatasetError,
+    DimensionError,
+    LdlError,
+    NumericalError,
+    UndefinedCorrelationError,
+    ValidationError,
+)
 
 
 class UsageError(Exception):
@@ -260,16 +270,23 @@ def _train_config(cmd):
 
 
 def _network_from_checkpoint(path):
-    """The network of a distribution-head checkpoint (eval and predict)."""
+    """The network of a distribution-head checkpoint (eval and predict).
+
+    A header spec that cannot be built, or whose network does not fit the
+    records (other names or shapes, or too large to allocate: the records
+    of a matching spec are already in memory), is a checkpoint error.
+    """
     from . import checkpoint as ckpt_io
-    from .errors import ConfigurationError
     from .network import Network
     ckpt = ckpt_io.load(path)
     if ckpt.spec.num_labels < 2:
         raise ConfigurationError(
             f"{path}: a scalar-head (num_labels=1) checkpoint predicts no score distribution")
-    net = Network(ckpt.spec)
-    net.load_state_dict(ckpt.state)
+    try:
+        net = Network(ckpt.spec)
+        net.load_state_dict(ckpt.state)
+    except (ConfigurationError, DimensionError, MemoryError) as exc:
+        raise CheckpointError(f"{path}: header spec does not match the records: {exc}") from exc
     return net, ckpt
 
 
@@ -315,7 +332,6 @@ def _run_train(cmd):
 def _run_eval(cmd):
     from .data import load_index
     from .distributions import weighted_mean
-    from .errors import UndefinedCorrelationError
     from .training import evaluate
     net, _ = _network_from_checkpoint(cmd.ckpt)
     ds = load_index(cmd.data, image_size=net.spec.input_size)
@@ -400,43 +416,28 @@ _RUNNERS = {
 }
 
 
+# first matching row wins, so subclasses precede their bases
+_EXIT_CODES = {
+    UsageError: 1,
+    OSError: 2,   # absent, a directory, unreadable
+    DatasetError: 2,
+    ValidationError: 3,
+    CheckpointError: 3,
+    NumericalError: 4,
+    UndefinedCorrelationError: 5,
+    LdlError: 1,
+}
+
+
 def run(cmd):
     """Execute a parsed command; returns the process exit code."""
-    from .errors import (
-        CheckpointError,
-        ConfigurationError,
-        DatasetError,
-        DimensionError,
-        EmptyInputError,
-        NumericalError,
-        RangeError,
-        UndefinedCorrelationError,
-        ValidationError,
-    )
     _print_config(cmd)
     try:
         return _RUNNERS[cmd.verb](cmd)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:   # absent, a directory, unreadable
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DatasetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValidationError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except UndefinedCorrelationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (ConfigurationError, RangeError, EmptyInputError, DimensionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except tuple(_EXIT_CODES) as exc:
+        label = "usage error" if isinstance(exc, UsageError) else "error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def main(argv=None):

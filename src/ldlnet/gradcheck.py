@@ -194,11 +194,6 @@ def _op_cases(rng):
     cases["max_pool"] = ([("x", xm)],
                          lambda: pm(ad.pool(xm, "max", window=2, stride=2)))
 
-    xa = _param(rng, 2, 2, 6, 6)
-    pa = _project(rng, (2, 2, 4, 4))
-    cases["avg_pool"] = ([("x", xa)],
-                         lambda: pa(ad.pool(xa, "avg", window=3, stride=1)))
-
     xg = _param(rng, 2, 3, 4, 4)
     pg = _project(rng, (2, 3, 1, 1))
     cases["global_avg_pool"] = ([("x", xg)],

@@ -171,6 +171,56 @@ class TestMaxPoolAgainstLoops:
         assert np.array_equal(x.grad, ref[:, :, pad:pad + 9, pad:pad + 9])
 
 
+def _batch_norm_reference(x, gamma, beta, g, mean=None, var=None, eps=1e-5):
+    """Channel-loop float64 batch norm: output, dX, dgamma and dbeta for
+    upstream gradient g. Without ``mean``/``var`` (train mode) it uses the
+    batch statistics and the textbook chain rule through them (Ioffe &
+    Szegedy 2015, section 3)."""
+    x, g = np.asarray(x, dtype=np.float64), np.asarray(g, dtype=np.float64)
+    out, dx = np.zeros(x.shape), np.zeros(x.shape)
+    dgamma, dbeta = np.zeros(x.shape[1]), np.zeros(x.shape[1])
+    for ch in range(x.shape[1]):
+        xc, gc, gam = x[:, ch], g[:, ch], float(gamma[ch])
+        m = xc.size
+        mu = xc.sum() / m if mean is None else float(mean[ch])
+        v = ((xc - mu) ** 2).sum() / m if var is None else float(var[ch])
+        xhat = (xc - mu) / np.sqrt(v + eps)
+        out[:, ch] = gam * xhat + float(beta[ch])
+        dgamma[ch], dbeta[ch] = (gc * xhat).sum(), gc.sum()
+        dxhat = gc * gam
+        dx[:, ch] = dxhat / np.sqrt(v + eps)
+        if mean is None:
+            dvar = (dxhat * (xc - mu)).sum() * -0.5 * (v + eps) ** -1.5
+            dmu = -(dxhat.sum() / np.sqrt(v + eps)) - 2.0 * dvar * (xc - mu).sum() / m
+            dx[:, ch] += 2.0 * dvar * (xc - mu) / m + dmu / m
+    return out, dx, dgamma, dbeta
+
+
+class TestBatchNormAgainstLoops:
+    # tolerance from the dtype alone: 64 epsilons relative to the largest reference value
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_output_and_all_gradients(self, mode, dtype):
+        rng = np.random.default_rng(11)
+        x = ad.Tensor(rng.normal(1.5, 2.0, (4, 3, 5, 5)).astype(dtype), requires_grad=True)
+        gamma = ad.Tensor(rng.uniform(0.5, 1.5, 3).astype(dtype), requires_grad=True)
+        beta = ad.Tensor(rng.standard_normal(3).astype(dtype), requires_grad=True)
+        stats = ad.RunningStats(3, dtype=dtype)
+        stats.mean = rng.standard_normal(3).astype(dtype)
+        stats.var = rng.uniform(0.5, 2.0, 3).astype(dtype)
+        out = ad.batch_norm(x, gamma, beta, mode=mode, stats=stats)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        ad.tsum(ad.mul_const(out, g)).backward()
+        fixed = {} if mode == "train" else {"mean": stats.mean, "var": stats.var}
+        refs = _batch_norm_reference(x.data, gamma.data, beta.data, g, **fixed)
+        tol = 64 * np.finfo(dtype).eps
+        got = (out.data, x.grad, gamma.grad, beta.grad)
+        for name, a, ref in zip(("out", "dX", "dgamma", "dbeta"), got, refs):
+            assert a.shape == ref.shape and a.dtype == dtype, name
+            err = np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+            assert err <= tol, f"{name}: relative error {err:.2e} > {tol:.2e}"
+
+
 class TestBatchNorm:
     def test_normalizes_per_channel(self):
         rng = np.random.default_rng(3)
@@ -268,6 +318,21 @@ class TestPool:
     def test_global_avg(self):
         x = t64(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
         assert ad.pool(x, "avg", 4).data[0, 0, 0, 0] == 7.5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_global_avg_backward_is_exactly_g_over_area(self, dtype):
+        rng = np.random.default_rng(12)
+        x = ad.Tensor(rng.standard_normal((2, 3, 3, 3)).astype(dtype), requires_grad=True)
+        out = ad.pool(x, "avg", 3)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        ad.tsum(ad.mul_const(out, g)).backward()
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, np.broadcast_to(g / 9, x.shape))
+
+    @pytest.mark.parametrize("window,stride", [(2, None), (3, 1), (2, 2)])
+    def test_avg_smaller_than_the_input_rejected(self, window, stride):
+        with pytest.raises(ConfigurationError):
+            ad.pool(t64(np.ones((1, 1, 4, 4))), "avg", window, stride)
 
 
 class TestAdd:

@@ -110,14 +110,13 @@ class TestCorruption:
             ckpt_io.load(tmp_path / "absent.ckpt")
 
 
-def _with_header_spec(path, spec):
-    """A valid toy checkpoint whose header carries ``spec`` instead."""
+def _with_header(path, **fields):
+    """A valid toy checkpoint whose header carries ``fields`` instead."""
     _, ckpt = _toy_checkpoint()
     ckpt_io.save(ckpt, path)
     blob = path.read_bytes()
     (hlen,) = struct.unpack("<I", blob[8:12])
-    header = json.loads(blob[12:12 + hlen])
-    header["spec"] = spec
+    header = {**json.loads(blob[12:12 + hlen]), **fields}
     raw = json.dumps(header).encode("utf-8")
     path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:])
     return path
@@ -125,7 +124,7 @@ def _with_header_spec(path, spec):
 
 class TestHeaderSpec:
     def test_unchanged_header_loads(self, tmp_path):
-        path = _with_header_spec(tmp_path / "same.ckpt", asdict(TOY))
+        path = _with_header(tmp_path / "same.ckpt", spec=asdict(TOY))
         assert ckpt_io.load(path).spec == TOY
 
     @pytest.mark.parametrize("key", ["stem_pool_pad", "block_counts", "num_labels"])
@@ -133,13 +132,13 @@ class TestHeaderSpec:
         spec = asdict(TOY)
         del spec[key]
         with pytest.raises(CheckpointError) as exc:
-            ckpt_io.load(_with_header_spec(tmp_path / "missing.ckpt", spec))
+            ckpt_io.load(_with_header(tmp_path / "missing.ckpt", spec=spec))
         assert key in str(exc.value)
 
     def test_unknown_key_is_refused(self, tmp_path):
         spec = {**asdict(TOY), "dropout": 0.5}
         with pytest.raises(CheckpointError) as exc:
-            ckpt_io.load(_with_header_spec(tmp_path / "extra.ckpt", spec))
+            ckpt_io.load(_with_header(tmp_path / "extra.ckpt", spec=spec))
         assert "dropout" in str(exc.value)
 
     @pytest.mark.parametrize("key,value", [("stem_stride", 0), ("num_labels", 5.5),
@@ -147,8 +146,20 @@ class TestHeaderSpec:
     def test_bad_value_is_refused(self, tmp_path, key, value):
         spec = {**asdict(TOY), key: value}
         with pytest.raises(CheckpointError) as exc:
-            ckpt_io.load(_with_header_spec(tmp_path / "bad.ckpt", spec))
+            ckpt_io.load(_with_header(tmp_path / "bad.ckpt", spec=spec))
         assert key in str(exc.value)
+
+
+class TestHeaderCounters:
+    @pytest.mark.parametrize("key", ["iteration", "records"])
+    @pytest.mark.parametrize("value", [5.9, 7.0, "7", True, False, -1, None, [1]])
+    def test_non_integer_or_negative_is_refused(self, tmp_path, key, value):
+        with pytest.raises(CheckpointError) as exc:
+            ckpt_io.load(_with_header(tmp_path / "count.ckpt", **{key: value}))
+        assert key in str(exc.value)
+
+    def test_integer_iteration_loads(self, tmp_path):
+        assert ckpt_io.load(_with_header(tmp_path / "zero.ckpt", iteration=0)).iteration == 0
 
 
 def _one_record_file(path, record, name=b"w"):

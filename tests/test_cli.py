@@ -76,6 +76,33 @@ class TestParse:
         assert "synth" in capsys.readouterr().out
 
 
+_RLIMITED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from ldlnet.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _toy_checkpoint_with_widths(path, widths):
+    """A toy network's checkpoint whose header claims ``stage_widths`` instead."""
+    import json
+
+    from ldlnet import checkpoint as ckpt_io
+    from ldlnet.network import Network, NetworkSpec, init_weights
+    net = Network(NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
+                              input_size=16))
+    init_weights(net, 0)
+    ckpt_io.save(ckpt_io.Checkpoint.from_network(net), path)
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[8:12])
+    header = json.loads(blob[12:12 + hlen])
+    header["spec"]["stage_widths"] = widths
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:])
+    return path
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["train", "--loss", "bogus"]) == 1
@@ -143,6 +170,23 @@ class TestExitCodes:
         ckpt_io.save(ckpt, tmp_path / "m.ckpt")
         assert main(["predict", "--ckpt", str(tmp_path / "m.ckpt"), "--image", "unread.ppm"]) == 3
         assert key in capsys.readouterr().err
+
+    def test_header_spec_that_does_not_fit_the_records_is_three(self, tmp_path, capsys):
+        path = _toy_checkpoint_with_widths(tmp_path / "m.ckpt", [4, 6, 8, 12])
+        assert main(["predict", "--ckpt", str(path), "--image", "unread.ppm"]) == 3
+        assert "does not match the records" in capsys.readouterr().err
+
+    def test_header_spec_too_large_to_build_is_three(self, tmp_path):
+        # its stage-4 kernel alone is 32.7 TiB; the child's own address-space
+        # limit makes the allocation fail whatever the host's overcommit policy
+        import ldlnet
+        path = _toy_checkpoint_with_widths(tmp_path / "m.ckpt", [4, 6, 8, 1000000])
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ldlnet.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-c", _RLIMITED_MAIN, "predict", "--ckpt", str(path),
+             "--image", "unread.ppm"], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3, done.stderr
+        assert "does not match the records" in done.stderr
 
     @pytest.mark.parametrize("num_labels", [1, 3])
     def test_head_that_does_not_fit_the_scale_is_one(self, tmp_path, capsys, num_labels):

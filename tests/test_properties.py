@@ -5,9 +5,9 @@ A reader may refuse its input only with an ``LdlError`` subclass, and
 code; anything else escaping is a failure. Each byte property draws either
 arbitrary bytes or a valid file with a few bytes flipped, inserted, deleted
 or cut off; the checkpoint header property draws spec dicts with fields
-dropped, added or set to odd values. Example counts are bounded and the
-draws derandomized, so the suite grows by seconds and fails the same way on
-every run.
+dropped, added or set to odd values, and odd iteration and record counts.
+Example counts are bounded and the draws derandomized, so the suite grows
+by seconds and fails the same way on every run.
 """
 
 import contextlib
@@ -155,11 +155,12 @@ _ODD_VALUES = st.one_of(st.just(0), st.integers(-5, -1), st.floats(), st.text(ma
 
 
 @st.composite
-def _header_specs(draw):
-    """The toy spec as a header dict, with a few fields dropped, added or
-    set to 0, negatives, floats, strings, bools, null or short lists."""
+def _headers(draw, header):
+    """``header`` with its toy spec dict's fields dropped, added or set to 0,
+    negatives, floats, strings, bools, null or short lists, and its
+    ``iteration`` and ``records`` each kept or set to such a value."""
     spec = asdict(TOY)
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from(("drop", "add", "set")))
         key = draw(st.sampled_from(sorted(spec) or ["block_counts"]))
         if op == "drop":
@@ -168,13 +169,15 @@ def _header_specs(draw):
             spec[draw(st.text(min_size=1, max_size=8))] = draw(_ODD_VALUES)
         else:
             spec[key] = draw(_ODD_VALUES)
-    return spec
+    counts = {key: draw(st.one_of(st.just(header[key]), _ODD_VALUES))
+              for key in ("iteration", "records")}
+    return {**header, "spec": spec, **counts}
 
 
 def test_checkpoint_header_spec_ends_in_ldl_errors_or_exit_codes(tmp_path):
-    # the records are those of a real toy network, so an untouched spec
-    # predicts (exit 0), a spec that loads but does not fit them is exit 1,
-    # and a spec that does not load is exit 3
+    # the records are those of a real toy network, so an untouched header
+    # predicts (exit 0), a scalar head is exit 1, and a header that does not
+    # load or does not fit the records is exit 3
     net = Network(TOY)
     init_weights(net, 0)
     ckpt_io.save(ckpt_io.Checkpoint.from_network(net), tmp_path / "toy.ckpt")
@@ -185,9 +188,9 @@ def test_checkpoint_header_spec_ends_in_ldl_errors_or_exit_codes(tmp_path):
     args = ["predict", "--ckpt", str(tmp_path / "fuzz.ckpt"), "--image", str(tmp_path / "face.ppm")]
 
     @FUZZ
-    @given(_header_specs())
-    def check(spec):
-        raw = json.dumps({**header, "spec": spec}).encode("utf-8")
+    @given(_headers(header))
+    def check(mutated):
+        raw = json.dumps(mutated).encode("utf-8")
         (tmp_path / "fuzz.ckpt").write_bytes(
             blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:])
         try:
