@@ -2,8 +2,12 @@
 
 A :class:`Tensor` wraps a float32/float64 ndarray. Ops build a dynamic tape:
 every result remembers its parent tensors and a backward closure, and
-``loss.backward()`` walks the tape once in reverse topological order,
-accumulating gradients into every reachable tensor with ``requires_grad``.
+``loss.backward()`` walks the tape once in reverse topological order and
+consumes it. Leaves (tensors with no closure: parameters and inputs that
+require grad) receive their gradients in ``.grad``; every other node drops
+its ``.grad``, closure and parents once its closure has run, so each saved
+activation is freed as soon as the walk passes its last reader. A second
+backward through a consumed node raises :class:`ConfigurationError`.
 
 Training runs in float32; float64 exists for finite-difference verification
 (see :mod:`ldlnet.gradcheck`).
@@ -68,14 +72,27 @@ class Tensor:
         return float(self.data)
 
     def backward(self):
-        """Propagate d(self)/d(param) into ``.grad`` of every reachable tensor."""
+        """Propagate d(self)/d(leaf) into ``.grad`` of every reachable leaf,
+        consuming the tape.
+
+        Nodes are popped off the topological order, last first. Once a
+        node's closure has run, its ``.grad``, closure and parents are
+        dropped, and with them the arrays the closure saved; only leaves
+        keep ``.grad``. A graph that reaches a node an earlier backward
+        consumed raises ConfigurationError before any gradient is touched.
+        """
         if self.data.size != 1:
             raise DimensionError(f"backward() needs a scalar loss, got shape {self.data.shape}")
         order = _topo_order(self)
+        if any(node._backward is _consumed for node in order):
+            raise ConfigurationError(
+                "backward() reached a node an earlier backward() consumed; run the forward again")
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, _consumed, ()
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, dtype={self.data.dtype})"
@@ -99,6 +116,11 @@ def _topo_order(root):
             if id(p) not in seen:
                 stack.append((p, False))
     return order
+
+
+def _consumed(g):
+    """The closure of a node whose backward has run. A marker only:
+    ``Tensor.backward`` refuses any graph that reaches it."""
 
 
 def _accum(t, g):
@@ -277,6 +299,12 @@ def batch_norm(x, gamma, beta, mode="train", stats=None, eps=1e-5):
     taken from the centred input), keeps them in ``stats.batch_mean``/
     ``batch_var``, and its backward is exact through them. Eval mode
     normalizes with ``stats.mean``/``stats.var``.
+
+    The tape keeps no normalized copy of x: only the per-channel mean and
+    ``inv`` = 1/sqrt(var + eps) used in the forward. The backward rebuilds
+    xhat from ``x.data`` with the forward's own two numpy operations, so
+    its gradients are bit-identical to those from a kept xhat, and later
+    changes to ``stats`` do not reach it.
     """
     if x.data.ndim != 4:
         raise DimensionError(f"batch_norm expects (N,C,H,W), got {x.shape}")
@@ -297,8 +325,9 @@ def batch_norm(x, gamma, beta, mode="train", stats=None, eps=1e-5):
     elif mode == "eval":
         if stats is None:
             raise ConfigurationError("batch_norm eval mode requires running stats")
+        mu = stats.mean.astype(x.dtype)
         var = stats.var.astype(x.dtype)
-        xhat = x.data - _bc(stats.mean.astype(x.dtype))
+        xhat = x.data - _bc(mu)
     else:
         raise ConfigurationError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
     inv = 1.0 / np.sqrt(var + eps)
@@ -306,6 +335,8 @@ def batch_norm(x, gamma, beta, mode="train", stats=None, eps=1e-5):
     out = Tensor(_bc(gamma.data) * xhat + _bc(beta.data), op="batch_norm")
 
     def bwd(g):
+        xhat = x.data - _bc(mu)
+        xhat *= _bc(inv)
         sum_g = g.sum(axis=axes)
         sum_gx = (g * xhat).sum(axis=axes)
         if gamma.requires_grad:

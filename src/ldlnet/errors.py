@@ -10,7 +10,8 @@ class DimensionError(LdlError):
 
 
 class ConfigurationError(LdlError):
-    """A parameter combination is invalid (non-positive output size, bad split counts, ...)."""
+    """A parameter combination or call is invalid (non-positive output size, bad split
+    counts, a second backward through a consumed tape, ...)."""
 
 
 class RangeError(LdlError):

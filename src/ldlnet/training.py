@@ -269,11 +269,11 @@ def _fit(dataset, spec, config, loss_of, on_eval):
     for it in range(config.max_iter):
         batch_idx = next(batches)
         images, targets = _batch_arrays(ds, batch_idx)
+        for rec in records:     # before the forward, so they never sit beside its tape
+            rec.tensor.grad = None
         loss = loss_of(net.forward(images, mode="train"), targets, ds, batch_idx)
         if not np.isfinite(loss.data):
             raise NumericalError(f"non-finite loss at iteration {it}")
-        for rec in records:
-            rec.tensor.grad = None
         loss.backward()
         sgd_step(records, velocities, config, it)
 

@@ -4,12 +4,16 @@ Expected gradients come from central finite differences computed by
 gradcheck, which only ever evaluates the forward pass.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
 import ldlnet.autodiff as ad
+from ldlnet.distributions import batch_loss_graph
 from ldlnet.errors import BatchSizeError, ConfigurationError, DimensionError
 from ldlnet.gradcheck import grad_check
+from ldlnet.network import Network, NetworkSpec, init_weights
 
 
 def t64(data, requires_grad=False):
@@ -267,6 +271,41 @@ class TestBatchNorm:
         assert np.allclose(stats.batch_var, x.data.var(axis=(0, 2, 3)))
 
 
+class TestBatchNormRecompute:
+    """The backward rebuilds xhat from the statistics the forward captured."""
+
+    @staticmethod
+    def _grads(mode, disturb):
+        rng = np.random.default_rng(19)
+        x = t64(rng.normal(1.0, 2.0, (4, 3, 5, 5)), requires_grad=True)
+        gamma = t64(rng.uniform(0.5, 1.5, 3), requires_grad=True)
+        beta = t64(rng.standard_normal(3), requires_grad=True)
+        stats = ad.RunningStats(3, dtype=np.float64)
+        stats.mean = rng.standard_normal(3)
+        stats.var = rng.uniform(0.5, 2.0, 3)
+        loss = ad.tsum(ad.mul_const(ad.batch_norm(x, gamma, beta, mode=mode, stats=stats),
+                                    rng.standard_normal((4, 3, 5, 5))))
+        disturb(stats, x)
+        loss.backward()
+        return x.grad, gamma.grad, beta.grad
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("disturb", [
+        lambda stats, x: stats.reset(),
+        lambda stats, x: setattr(stats, "mean", stats.mean + 3.0),
+        lambda stats, x: setattr(stats, "var", stats.var * 5.0),
+        # a second train-mode forward replaces batch_mean/batch_var
+        lambda stats, x: ad.batch_norm(t64(x.data * 2.0 + 1.0), t64(np.ones(3)),
+                                       t64(np.zeros(3)), mode="train", stats=stats),
+    ], ids=["reset", "new_mean", "new_var", "new_batch"])
+    def test_statistics_changed_after_the_forward_do_not_reach_the_backward(
+            self, mode, disturb):
+        want = self._grads(mode, lambda stats, x: None)
+        got = self._grads(mode, disturb)
+        for name, a, b in zip(("dX", "dgamma", "dbeta"), got, want):
+            assert np.array_equal(a, b), name
+
+
 class TestRelu:
     def test_definition(self):
         out = ad.relu(t64([-1.0, 0.0, 2.0]))
@@ -418,6 +457,59 @@ class TestTapeProperties:
         with ad.no_grad():
             out = ad.relu(x)
         assert out._backward is None and not out.requires_grad
+
+
+TINY = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(2, 3, 4, 5), input_size=16)
+
+
+def _tiny_step():
+    """Forward of a tiny network on a batch of 2 and its Euclidean loss."""
+    net = Network(TINY)
+    init_weights(net, 0)
+    rng = np.random.default_rng(20)
+    images = rng.random((2, 3, 16, 16), dtype=np.float32)
+    targets = rng.dirichlet(np.ones(TINY.num_labels), size=2).astype(np.float32)
+    out = net.forward(images, mode="train")
+    return net, out, batch_loss_graph("euclidean", out.distribution, targets)
+
+
+class TestTapeRelease:
+    def test_backward_frees_the_tape_and_leaves_keep_their_gradients(self):
+        net, out, loss = _tiny_step()
+        order = ad._topo_order(loss)
+        convs = [n for n in order if n.op == "conv2d"]
+        conv = convs[len(convs) // 2]
+        conv_data = weakref.ref(conv.data)
+        inner = [n for n in order if n._backward is not None and n is not conv]
+        assert out.distribution in inner and out.features in inner
+        del order, convs, conv
+        loss.backward()
+        assert conv_data() is None
+        assert all(n.grad is None for n in inner)
+        assert all(n._parents == () for n in inner)
+        for rec in net.param_records():
+            assert rec.tensor.grad is not None, rec.name
+            assert rec.tensor.grad.shape == rec.tensor.shape, rec.name
+
+    def test_second_backward_raises_and_leaves_gradients_alone(self):
+        net, _, loss = _tiny_step()
+        loss.backward()
+        before = {r.name: r.tensor.grad.copy() for r in net.param_records()}
+        with pytest.raises(ConfigurationError, match="consumed"):
+            loss.backward()
+        for rec in net.param_records():
+            assert np.array_equal(rec.tensor.grad, before[rec.name]), rec.name
+
+    def test_new_graph_on_a_consumed_node_raises(self):
+        net, out, loss = _tiny_step()
+        loss.backward()
+        before = {r.name: r.tensor.grad.copy() for r in net.param_records()}
+        # the new graph also reaches live weights, which must not be touched
+        extra = ad.tsum(ad.dense(out.features, net.fc.weight, net.fc.bias))
+        with pytest.raises(ConfigurationError, match="consumed"):
+            extra.backward()
+        for rec in net.param_records():
+            assert np.array_equal(rec.tensor.grad, before[rec.name]), rec.name
 
 
 class TestGradCheckHarness:
