@@ -135,11 +135,6 @@ def _wire(out, parents, bwd):
     return out
 
 
-def _bc(a):
-    """Broadcast a per-channel vector over an (N, C, H, W) block."""
-    return a.reshape(1, -1, 1, 1)
-
-
 # ---------------------------------------------------------------------------
 # layer primitives
 # ---------------------------------------------------------------------------
@@ -300,26 +295,31 @@ def batch_norm(x, gamma, beta, mode="train", stats=None, eps=1e-5):
     ``batch_var``, and its backward is exact through them. Eval mode
     normalizes with ``stats.mean``/``stats.var``.
 
-    The tape keeps no normalized copy of x: only the per-channel mean and
-    ``inv`` = 1/sqrt(var + eps) used in the forward. The backward rebuilds
-    xhat from ``x.data`` with the forward's own two numpy operations, so
-    its gradients are bit-identical to those from a kept xhat, and later
-    changes to ``stats`` do not reach it.
+    Both directions work from per-channel sums over an (N, C, H*W) view.
+    With ``inv`` = 1/sqrt(var + eps) and s = gamma*inv, the output is
+    (x - mu)*s + beta. The tape keeps only x and the per-channel mu and
+    ``inv`` of the forward, so later changes to ``stats`` do not reach the
+    backward. The backward takes sum(g) and sum(g*x) in one pass each and
+    gets sum(g*(x - mu)) = sum(g*x) - mu*sum(g) from them, with no
+    normalized or centred copy of x: dgamma = inv*sum(g*(x - mu)),
+    dbeta = sum(g), and in train mode, with m = N*H*W and
+    b = s*inv**2*sum(g*(x - mu))/m,
+    dx = g*s - x*b + (b*mu - s*sum(g)/m). In eval mode dx = g*s.
     """
     if x.data.ndim != 4:
         raise DimensionError(f"batch_norm expects (N,C,H,W), got {x.shape}")
-    c = x.shape[1]
+    n, c = x.shape[:2]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise DimensionError(
             f"batch_norm gamma/beta must have shape ({c},), got {gamma.shape}/{beta.shape}")
-    axes = (0, 2, 3)
+    xv = x.data.reshape(n, c, -1)
+    m = xv.shape[0] * xv.shape[2]
     if mode == "train":
-        if x.shape[0] < 2:
-            raise BatchSizeError(
-                f"batch_norm train mode needs batch size >= 2, got {x.shape[0]}")
-        mu = x.data.mean(axis=axes)
-        xhat = x.data - _bc(mu)
-        var = (xhat * xhat).mean(axis=axes)
+        if n < 2:
+            raise BatchSizeError(f"batch_norm train mode needs batch size >= 2, got {n}")
+        mu = np.einsum("nci->c", xv) / m
+        out = xv - mu[:, None]
+        var = np.einsum("nci,nci->c", out, out) / m
         if stats is not None:
             stats.batch_mean, stats.batch_var = mu, var
     elif mode == "eval":
@@ -327,27 +327,33 @@ def batch_norm(x, gamma, beta, mode="train", stats=None, eps=1e-5):
             raise ConfigurationError("batch_norm eval mode requires running stats")
         mu = stats.mean.astype(x.dtype)
         var = stats.var.astype(x.dtype)
-        xhat = x.data - _bc(mu)
     else:
         raise ConfigurationError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
     inv = 1.0 / np.sqrt(var + eps)
-    xhat *= _bc(inv)
-    out = Tensor(_bc(gamma.data) * xhat + _bc(beta.data), op="batch_norm")
+    s = gamma.data * inv
+    if mode == "train":
+        out *= s[:, None]
+        out += beta.data[:, None]
+    else:
+        out = xv * s[:, None]
+        out += (beta.data - mu * s)[:, None]
+    out = Tensor(out.reshape(x.shape), op="batch_norm")
 
     def bwd(g):
-        xhat = x.data - _bc(mu)
-        xhat *= _bc(inv)
-        sum_g = g.sum(axis=axes)
-        sum_gx = (g * xhat).sum(axis=axes)
+        gv = g.reshape(xv.shape)
+        sum_g = np.einsum("nci->c", gv)
+        sum_gxc = np.einsum("nci,nci->c", gv, xv) - mu * sum_g
         if gamma.requires_grad:
-            _accum(gamma, sum_gx)
+            _accum(gamma, inv * sum_gxc)
         if beta.requires_grad:
             _accum(beta, sum_g)
-        if x.requires_grad and mode == "eval":
-            _accum(x, g * _bc(gamma.data * inv))
-        elif x.requires_grad:
-            m = x.data.size / c
-            _accum(x, _bc(gamma.data * inv) / m * (m * g - _bc(sum_g) - xhat * _bc(sum_gx)))
+        if x.requires_grad:
+            dx = gv * s[:, None]
+            if mode == "train":
+                b = s * inv * inv * sum_gxc / m
+                dx -= xv * b[:, None]
+                dx += (b * mu - s * sum_g / m)[:, None]
+            _accum(x, dx.reshape(x.shape))
 
     return _wire(out, (x, gamma, beta), bwd)
 

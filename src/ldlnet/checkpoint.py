@@ -5,8 +5,10 @@ Layout (all integers little-endian):
     bytes 0-3   magic "LDLN"
     u32         format version (currently 1)
     u32         header length
-    bytes       header: UTF-8 JSON {"spec": {...}, "iteration": int, "records": int},
-                "spec" holding exactly the NetworkSpec fields
+    bytes       header: UTF-8 JSON {"spec": {...}, "iteration": int, "records": int,
+                "labels": [float, ...]}, "spec" holding exactly the NetworkSpec
+                fields and "labels" the score scale (optional: without it the
+                scale is 1..num_labels)
     records     one per named tensor:
                     u32 name length, name bytes (UTF-8),
                     u32 rank, rank x u64 dims,
@@ -21,17 +23,20 @@ names.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
+from .distributions import ScoreScale
 from .errors import (
     CheckpointError,
     CheckpointMagicError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    ValidationError,
 )
 from .network import NetworkSpec
 
@@ -44,19 +49,28 @@ class Checkpoint:
     spec: NetworkSpec
     state: dict = field(default_factory=dict)   # name -> float32 ndarray
     iteration: int = 0
+    labels: tuple | None = None   # the score scale's labels; None means 1..num_labels
 
     @classmethod
-    def from_network(cls, network, iteration=0):
+    def from_network(cls, network, iteration=0, labels=None):
         state = {k: np.asarray(v, dtype=np.float32) for k, v in network.state_dict().items()}
-        return cls(spec=network.spec, state=state, iteration=iteration)
+        return cls(spec=network.spec, state=state, iteration=iteration, labels=labels)
+
+    @property
+    def scale(self):
+        """The ScoreScale a distribution head predicts over."""
+        return ScoreScale(self.labels or range(1, self.spec.num_labels + 1))
 
 
 def save(ckpt, path):
-    header = json.dumps({
+    header = {
         "spec": asdict(ckpt.spec),
         "iteration": int(ckpt.iteration),
         "records": len(ckpt.state),
-    }).encode("utf-8")
+    }
+    if ckpt.labels is not None:
+        header["labels"] = [float(v) for v in ckpt.labels]
+    header = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
@@ -90,6 +104,26 @@ def _count(header, key):
     return value
 
 
+def _labels(header, spec):
+    """The header's optional ``labels``: a JSON list of finite numbers (not
+    bools) that makes a ScoreScale, one label per output of a distribution
+    head."""
+    if "labels" not in header:
+        return None
+    value = header["labels"]
+    if type(value) is not list or any(
+            type(v) not in (int, float) or not math.isfinite(v) for v in value):
+        raise CheckpointError(f"header labels must be a list of finite numbers, got {value!r}")
+    try:
+        labels = ScoreScale(value).labels
+    except ValidationError as exc:
+        raise CheckpointError(f"header labels: {exc}") from exc
+    if spec.num_labels > 1 and len(labels) != spec.num_labels:
+        raise CheckpointError(
+            f"header labels has {len(labels)} levels, the spec's head {spec.num_labels}")
+    return labels
+
+
 def load(path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -110,6 +144,7 @@ def load(path):
             spec = NetworkSpec(**spec)
             iteration = _count(header, "iteration")
             n_records = _count(header, "records")
+            labels = _labels(header, spec)
         except CheckpointError:
             raise
         except Exception as exc:
@@ -134,4 +169,4 @@ def load(path):
                 raise CheckpointError(f"record {i} ({name}) has dims {dims}: {exc}") from exc
         if fh.read(1):
             raise CheckpointError("trailing bytes after the declared records")
-    return Checkpoint(spec=spec, state=state, iteration=iteration)
+    return Checkpoint(spec=spec, state=state, iteration=iteration, labels=labels)

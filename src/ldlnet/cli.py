@@ -333,8 +333,11 @@ def _run_eval(cmd):
     from .data import load_index
     from .distributions import weighted_mean
     from .training import evaluate
-    net, _ = _network_from_checkpoint(cmd.ckpt)
+    net, ckpt = _network_from_checkpoint(cmd.ckpt)
     ds = load_index(cmd.data, image_size=net.spec.input_size)
+    if ds.scale != ckpt.scale:
+        raise ConfigurationError(f"{cmd.data} has the score scale {ds.scale.labels}, the "
+                                 f"checkpoint {cmd.ckpt} {ckpt.scale.labels}")
     indices = list(range(ds.n))
     record = evaluate(net, ds, indices, loss_kind=cmd.loss)
     print(f"n {record.n} pc {record.pc!r} kl {record.mean_kl:.6f} "
@@ -362,15 +365,14 @@ def _run_predict(cmd):
     from . import autodiff as ad
     from .imageio import read_image
     from .imaging import normalize_image
-    net, _ = _network_from_checkpoint(cmd.ckpt)
+    net, ckpt = _network_from_checkpoint(cmd.ckpt)
     crop = _parse_int_tuple(cmd.crop, "--crop") if cmd.crop else None
     image = normalize_image(read_image(cmd.image), crop=crop, target=net.spec.input_size)
     with ad.no_grad():
         out = net.forward(image[None], mode="eval")
     dist = out.distribution.data[0].astype(np.float64)
-    labels = np.arange(1, len(dist) + 1, dtype=np.float64)   # the 1..c scale
     print("degrees: " + " ".join(f"{v:.6f}" for v in dist))
-    print(f"weighted_mean: {float(dist @ labels):.6f}")
+    print(f"weighted_mean: {float(dist @ ckpt.scale.values):.6f}")
     return 0
 
 

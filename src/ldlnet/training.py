@@ -149,8 +149,8 @@ def sgd_step(records, velocities, config, iteration):
 
 
 def _batch_arrays(dataset, indices):
-    images = np.stack([dataset.samples[i].image for i in indices]).astype(np.float32)
-    targets = np.stack([dataset.samples[i].distribution for i in indices]).astype(np.float32)
+    images = np.stack([dataset.samples[i].image for i in indices], dtype=np.float32)
+    targets = np.stack([dataset.samples[i].distribution for i in indices], dtype=np.float32)
     return images, targets
 
 
@@ -301,7 +301,7 @@ def train(dataset, spec, config):
                              te.mean_chebyshev))
 
     net, _ = _fit(dataset, spec, config, distribution_loss, on_eval)
-    return Checkpoint.from_network(net, iteration=config.max_iter), log
+    return Checkpoint.from_network(net, config.max_iter, dataset.scale.labels), log
 
 
 def train_mean_regression(dataset, spec, config):
@@ -327,4 +327,4 @@ def train_mean_regression(dataset, spec, config):
 
     net, ds = _fit(dataset, spec, config, squared_error, on_eval)
     recompute_bn_stats(net, ds, ds.train_idx, config.batch_size)
-    return Checkpoint.from_network(net, iteration=config.max_iter), history
+    return Checkpoint.from_network(net, config.max_iter, dataset.scale.labels), history

@@ -201,12 +201,24 @@ def _batch_norm_reference(x, gamma, beta, g, mean=None, var=None, eps=1e-5):
 
 
 class TestBatchNormAgainstLoops:
-    # tolerance from the dtype alone: 64 epsilons relative to the largest reference value
+    # tolerance from the dtype alone: 64 epsilons relative to the largest reference value.
+    # Inputs of mean 1.5, 6 and 20 at sd 2 (0.75, 3 and 10 sd off zero) guard the
+    # cancellation in sum(g*x) - mu*sum(g), from which the backward takes dgamma and dX.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("mode", ["train", "eval"])
     def test_output_and_all_gradients(self, mode, dtype):
+        self._check(mode, dtype, mean=1.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("mean", [6.0, 20.0])
+    def test_input_far_from_zero_mean(self, mean, mode, dtype):
+        self._check(mode, dtype, mean)
+
+    @staticmethod
+    def _check(mode, dtype, mean):
         rng = np.random.default_rng(11)
-        x = ad.Tensor(rng.normal(1.5, 2.0, (4, 3, 5, 5)).astype(dtype), requires_grad=True)
+        x = ad.Tensor(rng.normal(mean, 2.0, (4, 3, 5, 5)).astype(dtype), requires_grad=True)
         gamma = ad.Tensor(rng.uniform(0.5, 1.5, 3).astype(dtype), requires_grad=True)
         beta = ad.Tensor(rng.standard_normal(3).astype(dtype), requires_grad=True)
         stats = ad.RunningStats(3, dtype=dtype)
@@ -270,9 +282,19 @@ class TestBatchNorm:
         assert np.allclose(stats.batch_mean, x.data.mean(axis=(0, 2, 3)))
         assert np.allclose(stats.batch_var, x.data.var(axis=(0, 2, 3)))
 
+    def test_float32_variance_far_from_zero_mean(self):
+        # from the centred input; E[x^2] - mean^2 would cancel away most digits here
+        rng = np.random.default_rng(7)
+        x = ad.Tensor(rng.normal(1000.0, 1.0, (8, 3, 8, 8)).astype(np.float32))
+        stats = ad.RunningStats(3)
+        ad.batch_norm(x, ad.Tensor(np.ones(3, np.float32)), ad.Tensor(np.zeros(3, np.float32)),
+                      mode="train", stats=stats)
+        want = x.data.astype(np.float64).var(axis=(0, 2, 3))
+        np.testing.assert_allclose(stats.batch_var, want, rtol=1e-3)
+
 
 class TestBatchNormRecompute:
-    """The backward rebuilds xhat from the statistics the forward captured."""
+    """The backward uses the mean and 1/sqrt(var + eps) the forward captured."""
 
     @staticmethod
     def _grads(mode, disturb):

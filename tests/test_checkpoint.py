@@ -162,6 +162,36 @@ class TestHeaderCounters:
         assert ckpt_io.load(_with_header(tmp_path / "zero.ckpt", iteration=0)).iteration == 0
 
 
+class TestHeaderLabels:
+    def test_labels_round_trip(self, tmp_path):
+        net, _ = _toy_checkpoint()
+        path = tmp_path / "net.ckpt"
+        ckpt_io.save(ckpt_io.Checkpoint.from_network(net, labels=(0, 2.5, 5, 7.5, 10)), path)
+        loaded = ckpt_io.load(path)
+        assert loaded.labels == (0.0, 2.5, 5.0, 7.5, 10.0)
+        assert loaded.scale.labels == loaded.labels
+
+    def test_absent_labels_mean_one_to_c(self, tmp_path):
+        _, ckpt = _toy_checkpoint()
+        ckpt_io.save(ckpt, tmp_path / "net.ckpt")
+        loaded = ckpt_io.load(tmp_path / "net.ckpt")
+        assert loaded.labels is None
+        assert loaded.scale.labels == (1.0, 2.0, 3.0, 4.0, 5.0)
+
+    def test_integer_labels_load(self, tmp_path):
+        path = _with_header(tmp_path / "int.ckpt", labels=[2, 4, 6, 8, 10])
+        assert ckpt_io.load(path).labels == (2.0, 4.0, 6.0, 8.0, 10.0)
+
+    @pytest.mark.parametrize("value", [
+        None, "1,2,3,4,5", 5, {"a": 1}, [], [1.0], [1, 2, 3, 4, "5"], [1, 2, 3, 4, True],
+        [1, 2, 3, 4, None], [1, 2, 3, 4, float("nan")], [1, 2, 3, 4, float("inf")],
+        [1, 2, 3, 3, 5], [5, 4, 3, 2, 1], [1, 2, 3], [1, 2, 3, 4, 5, 6], [[1], 2, 3, 4, 5]])
+    def test_malformed_labels_are_refused(self, tmp_path, value):
+        with pytest.raises(CheckpointError) as exc:
+            ckpt_io.load(_with_header(tmp_path / "labels.ckpt", labels=value))
+        assert "labels" in str(exc.value)
+
+
 def _one_record_file(path, record, name=b"w"):
     """A checkpoint with a valid header declaring one record named ``name``,
     whose bytes after the name are ``record``."""

@@ -207,6 +207,41 @@ class TestExitCodes:
         assert main(["predict", "--ckpt", str(ckpt), "--image", image]) == (
             1 if num_labels == 1 else 0)
 
+    def test_predict_decodes_on_the_stored_scale(self, tmp_path, capsys):
+        from ldlnet import checkpoint as ckpt_io
+        from ldlnet.data import save_index
+        from ldlnet.network import Network, NetworkSpec, init_weights
+        from ldlnet.synth import synth_dataset
+        idx = save_index(synth_dataset(4, raters=3, seed=0, image_size=16), tmp_path / "d.idx")
+        net = Network(NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
+                                  input_size=16))
+        init_weights(net, 0)
+        labels = (0.0, 2.5, 5.0, 7.5, 10.0)
+        ckpt = tmp_path / "m.ckpt"
+        ckpt_io.save(ckpt_io.Checkpoint.from_network(net, labels=labels), ckpt)
+        image = str(tmp_path / "d_images" / "img_00000.ppm")
+        capsys.readouterr()
+        assert main(["predict", "--ckpt", str(ckpt), "--image", image]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        degrees = [float(v) for v in lines[-2].split()[1:]]
+        mean = float(lines[-1].split()[1])
+        assert abs(mean - float(np.dot(degrees, labels))) < 1e-4
+        assert abs(mean - float(np.dot(degrees, [1, 2, 3, 4, 5]))) > 1e-2
+        # the index's scale is 1..5, the checkpoint's another
+        assert main(["eval", "--data", str(idx), "--ckpt", str(ckpt)]) == 1
+        assert "score scale" in capsys.readouterr().err
+
+    def test_checkpoint_with_malformed_labels_is_three(self, tmp_path, capsys):
+        from ldlnet import checkpoint as ckpt_io
+        from ldlnet.network import Network, NetworkSpec, init_weights
+        net = Network(NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
+                                  input_size=16))
+        init_weights(net, 0)
+        path = tmp_path / "m.ckpt"
+        ckpt_io.save(ckpt_io.Checkpoint.from_network(net, labels=(5, 4, 3, 2, 1)), path)
+        assert main(["predict", "--ckpt", str(path), "--image", "unread.ppm"]) == 3
+        assert "labels" in capsys.readouterr().err
+
     def test_config_that_is_not_utf8_is_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"seed = 3\nloss = k\xffl\n")

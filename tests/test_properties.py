@@ -5,7 +5,8 @@ A reader may refuse its input only with an ``LdlError`` subclass, and
 code; anything else escaping is a failure. Each byte property draws either
 arbitrary bytes or a valid file with a few bytes flipped, inserted, deleted
 or cut off; the checkpoint header property draws spec dicts with fields
-dropped, added or set to odd values, and odd iteration and record counts.
+dropped, added or set to odd values, odd iteration and record counts, and
+odd score-scale labels.
 Example counts are bounded and the draws derandomized, so the suite grows
 by seconds and fails the same way on every run.
 """
@@ -157,8 +158,10 @@ _ODD_VALUES = st.one_of(st.just(0), st.integers(-5, -1), st.floats(), st.text(ma
 @st.composite
 def _headers(draw, header):
     """``header`` with its toy spec dict's fields dropped, added or set to 0,
-    negatives, floats, strings, bools, null or short lists, and its
-    ``iteration`` and ``records`` each kept or set to such a value."""
+    negatives, floats, strings, bools, null or short lists, its
+    ``iteration`` and ``records`` each kept or set to such a value, and a
+    ``labels`` key left out, set to a valid scale, to such a value, or to a
+    short list of floats (NaN and infinities included), integers and bools."""
     spec = asdict(TOY)
     for _ in range(draw(st.integers(0, 3))):
         op = draw(st.sampled_from(("drop", "add", "set")))
@@ -171,7 +174,13 @@ def _headers(draw, header):
             spec[key] = draw(_ODD_VALUES)
     counts = {key: draw(st.one_of(st.just(header[key]), _ODD_VALUES))
               for key in ("iteration", "records")}
-    return {**header, "spec": spec, **counts}
+    mutated = {**header, "spec": spec, **counts}
+    labels = draw(st.one_of(
+        st.none(), st.just([0.0, 2.5, 5.0, 7.5, 10.0]), _ODD_VALUES,
+        st.lists(st.one_of(st.floats(), st.integers(-3, 9), st.booleans()), max_size=7)))
+    if labels is not None:
+        mutated["labels"] = labels
+    return mutated
 
 
 def test_checkpoint_header_spec_ends_in_ldl_errors_or_exit_codes(tmp_path):

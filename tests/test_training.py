@@ -187,6 +187,18 @@ class TestTrainLoop:
         loss = kl_loss_graph(out.distribution, targets)
         assert abs(float(loss.data)) < 1e-6
 
+    def test_checkpoint_carries_the_score_scale(self):
+        import dataclasses
+
+        from ldlnet.distributions import ScoreScale
+        scale = ScoreScale((2, 4, 6, 8, 10))
+        ds = dataclasses.replace(toy_dataset(16, seed=6, train=12), scale=scale)
+        cfg = TrainConfig(max_iter=2, batch_size=4, eval_every=1)
+        assert train(ds, TOY, cfg)[0].scale == scale
+        spec = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
+                           input_size=16, num_labels=1)
+        assert train_mean_regression(ds, spec, cfg)[0].labels == scale.labels
+
     def test_requires_both_splits(self):
         ds = synth_dataset(8, raters=5, seed=5, image_size=16)  # all-train
         with pytest.raises(ConfigurationError):
