@@ -12,7 +12,9 @@ backward through a consumed node raises :class:`ConfigurationError`.
 Training runs in float32; float64 exists for finite-difference verification
 (see :mod:`ldlnet.gradcheck`).
 
-Every op takes and returns (N,C,H,W) activations. ``conv2d`` computes
+Every op takes and returns (N,C,H,W) activations. An unpadded 1x1
+``conv2d`` is a per-image matmul of the kernel with the input as it lies,
+(F,C) @ (C,H*W), with no layout copy. Every other ``conv2d`` computes
 channels-last inside the op: its window rows, matmuls and gradient buffers
 are (N,H,W,C), so each window is a run of kw*C contiguous floats and the
 input gradient needs no scatter. The op boundary stays NCHW because every
@@ -67,9 +69,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def item(self):
-        return float(self.data)
 
     def backward(self):
         """Propagate d(self)/d(leaf) into ``.grad`` of every reachable leaf,
@@ -210,18 +209,25 @@ def _nchw(rows, n, h, w):
 def conv2d(x, k, stride=1, pad=0):
     """Cross-correlation of x:(N,C,H,W) with kernels k:(F,C,kh,kw); no kernel flip.
 
-    Inside the op everything is channels-last. The forward transposes the
-    padded input to (N,H,W,C) once, takes its window rows (N*Ho*Wo, kh*kw*C)
-    and multiplies them by the kernel reordered to (F, kh*kw*C) in one
-    matmul (im2col, Chellapilla et al. 2006). The weight gradient is
-    gmat.T @ rows. At stride 1 the input gradient is the stride-1
-    convolution of the gradient, padded by kh-1-pad (cropped when pad is
-    larger), with the flipped, transposed kernels (Dumoulin & Visin 2016):
-    one window copy and one matmul. At larger strides it is kh*kw slab adds
-    of contiguous C-runs into an (N,H,W,C) buffer. The boundary stays NCHW
-    because every other op, the network, gradcheck and the tests use it.
-    Only the window rows are kept for the backward; the reordered kernel
-    is rebuilt there rather than held on the tape.
+    A 1x1 kernel with no pad skips im2col, as Caffe's convolution layer
+    does: with cols = x[:, :, ::stride, ::stride] as (N, C, Ho*Wo), a free
+    view at stride 1 and the only array it keeps, each image's output is
+    k2 @ cols[n] for k2 = k as (F, C). Its backward is dK = sum_n
+    g[n] @ cols[n].T and dX = k2.T @ g, put into every stride-th pixel of
+    zeros when stride > 1.
+
+    Every other conv is channels-last inside the op. The forward transposes
+    the padded input to (N,H,W,C) once, takes its window rows
+    (N*Ho*Wo, kh*kw*C) and multiplies them by the kernel reordered to
+    (F, kh*kw*C) in one matmul (im2col, Chellapilla et al. 2006). The
+    weight gradient is gmat.T @ rows. At stride 1 the input gradient is the
+    stride-1 convolution of the gradient, padded by kh-1-pad (cropped when
+    pad is larger), with the flipped, transposed kernels (Dumoulin & Visin
+    2016): one window copy and one matmul. At larger strides it is kh*kw
+    slab adds of contiguous C-runs into an (N,H,W,C) buffer. The boundary
+    stays NCHW because every other op, the network, gradcheck and the tests
+    use it. Only the window rows are kept for the backward; the reordered
+    kernel is rebuilt there rather than held on the tape.
     """
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d operands, got {x.shape} and {k.shape}")
@@ -231,6 +237,8 @@ def conv2d(x, k, stride=1, pad=0):
         raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernel {k.shape}")
     if stride < 1:
         raise ConfigurationError(f"conv2d stride must be >= 1, got {stride}")
+    if pad < 0:
+        raise ConfigurationError(f"conv2d pad must be >= 0, got {pad}")
     hp, wp = h + 2 * pad, w + 2 * pad
     if kh > hp or kw > wp:
         raise ConfigurationError(
@@ -239,6 +247,25 @@ def conv2d(x, k, stride=1, pad=0):
     wo = (wp - kw) // stride + 1
     if ho < 1 or wo < 1:
         raise ConfigurationError(f"conv2d output dims {ho}x{wo} are not positive")
+
+    if kh == kw == 1 and pad == 0:
+        cols = x.data[:, :, ::stride, ::stride].reshape(n, c, ho * wo)
+        k2 = k.data.reshape(f, c)
+        out = Tensor(np.matmul(k2, cols).reshape(n, f, ho, wo), op="conv2d")
+
+        def bwd(g):
+            gv = g.reshape(n, f, ho * wo)
+            if k.requires_grad:
+                _accum(k, np.matmul(gv, cols.transpose(0, 2, 1)).sum(axis=0).reshape(k.shape))
+            if not x.requires_grad:
+                return
+            dx = np.matmul(k2.T, gv).reshape(n, c, ho, wo)
+            if stride > 1:
+                dx, dcols = np.zeros_like(x.data), dx
+                dx[:, :, ::stride, ::stride] = dcols
+            _accum(x, dx)
+
+        return _wire(out, (x, k), bwd)
 
     rows = _window_rows(_pad_hw(x.data.transpose(0, 2, 3, 1), pad, pad), kh, kw, stride)
     out = Tensor(_nchw(rows @ _kernel_rows(k.data).T, n, ho, wo), op="conv2d")

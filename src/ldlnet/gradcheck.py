@@ -226,6 +226,13 @@ def _op_cases(rng):
     tk = rng.dirichlet(np.ones(5), size=3)
     cases["kl_graph"] = ([("z", zk)], lambda: ldl.kl_loss_graph(ad.softmax(zk), tk))
 
+    # last, so the cases above keep their random draws
+    xq = _param(rng, 2, 3, 6, 6)
+    kq = _param(rng, 4, 3, 1, 1)
+    pq = _project(rng, (2, 4, 3, 3))
+    cases["conv2d_pointwise"] = ([("x", xq), ("k", kq)],
+                                 lambda: pq(ad.conv2d(xq, kq, stride=2, pad=0)))
+
     return cases
 
 

@@ -4,6 +4,7 @@ Expected gradients come from central finite differences computed by
 gradcheck, which only ever evaluates the forward pass.
 """
 
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -91,6 +92,28 @@ class TestConv2d:
             ad.conv2d(t64(np.ones((1, 1, 2, 2))), t64(np.ones((1, 1, 3, 3))),
                       stride=1, pad=0)
 
+    def test_negative_pad_rejected(self):
+        # a negative pad would crop the input instead of padding it
+        with pytest.raises(ConfigurationError, match="pad"):
+            ad.conv2d(t64(np.ones((1, 1, 5, 5))), t64(np.ones((1, 1, 3, 3))),
+                      stride=1, pad=-1)
+
+    def test_pointwise_forward_holds_only_its_output(self):
+        # a 1x1 stride-1 conv reads its input in place: the tape keeps no copy of it
+        rng = np.random.default_rng(13)
+        x = ad.Tensor(rng.standard_normal((2, 64, 28, 28)).astype(np.float32),
+                      requires_grad=True)
+        k = ad.Tensor(rng.standard_normal((32, 64, 1, 1)).astype(np.float32),
+                      requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = ad.conv2d(x, k, stride=1, pad=0)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out._backward is not None
+        assert held <= 1.1 * out.data.nbytes, f"{held} bytes held for a {out.data.nbytes}-byte output"
+
 
 def _conv_reference(x, k, stride, pad, g):
     """Direct-loop float64 conv2d: output, and dX and dK for upstream gradient g."""
@@ -113,7 +136,9 @@ def _conv_reference(x, k, stride, pad, g):
 
 
 # (input shape, kernel shape, stride, pad): every conv the networks use, a
-# non-square kernel and a pad larger than the kernel minus one
+# non-square kernel, a pad larger than the kernel minus one, and the unpadded
+# 1x1 convs that run as per-image NCHW matmuls (one image, C > F and F > C,
+# stride 2 on an even side) beside a padded 1x1 that takes the general path
 CONV_CASES = [
     ((2, 3, 8, 8), (4, 3, 3, 3), 1, 1),
     ((2, 3, 8, 8), (4, 3, 3, 3), 2, 1),
@@ -124,6 +149,10 @@ CONV_CASES = [
     ((2, 3, 9, 8), (4, 3, 3, 2), 2, 1),
     ((2, 3, 5, 5), (4, 3, 2, 2), 1, 3),
     ((2, 3, 5, 5), (4, 3, 3, 3), 2, 3),
+    ((1, 6, 5, 4), (3, 6, 1, 1), 1, 0),
+    ((1, 3, 4, 5), (7, 3, 1, 1), 1, 0),
+    ((2, 3, 8, 8), (5, 3, 1, 1), 2, 0),
+    ((2, 3, 5, 5), (4, 3, 1, 1), 1, 1),
 ]
 
 
