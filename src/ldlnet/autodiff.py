@@ -17,9 +17,12 @@ Every op takes and returns (N,C,H,W) activations. An unpadded 1x1
 (F,C) @ (C,H*W), with no layout copy. Every other ``conv2d`` computes
 channels-last inside the op: its window rows, matmuls and gradient buffers
 are (N,H,W,C), so each window is a run of kw*C contiguous floats and the
-input gradient needs no scatter. The op boundary stays NCHW because every
-other op, the network, the tests and gradcheck use that layout, and so does
-the benchmark's tracer, which counts conv FLOPs from NCHW output shapes.
+input gradient needs no scatter. Only strided convs and convs whose input
+needs no gradient keep their window rows on the tape; at stride 1 the window
+rows of the padded gradient, built for the input gradient, give the weight
+gradient as well. The op boundary stays NCHW because every other op, the
+network, the tests and gradcheck use that layout, and so does the
+benchmark's tracer, which counts conv FLOPs from NCHW output shapes.
 """
 
 from __future__ import annotations
@@ -126,6 +129,16 @@ def _accum(t, g):
     t.grad = g if t.grad is None else t.grad + g
 
 
+def _integer(op, name, value, least):
+    """``value`` as an int no smaller than ``least``; ConfigurationError for
+    anything else, a bool or a whole-valued float included."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{op} {name} must be an integer, got {value!r}")
+    if value < least:
+        raise ConfigurationError(f"{op} {name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def _wire(out, parents, bwd):
     if _grad_enabled and any(p.requires_grad for p in parents):
         out._parents = tuple(parents)
@@ -219,15 +232,23 @@ def conv2d(x, k, stride=1, pad=0):
     Every other conv is channels-last inside the op. The forward transposes
     the padded input to (N,H,W,C) once, takes its window rows
     (N*Ho*Wo, kh*kw*C) and multiplies them by the kernel reordered to
-    (F, kh*kw*C) in one matmul (im2col, Chellapilla et al. 2006). The
-    weight gradient is gmat.T @ rows. At stride 1 the input gradient is the
-    stride-1 convolution of the gradient, padded by kh-1-pad (cropped when
-    pad is larger), with the flipped, transposed kernels (Dumoulin & Visin
-    2016): one window copy and one matmul. At larger strides it is kh*kw
-    slab adds of contiguous C-runs into an (N,H,W,C) buffer. The boundary
-    stays NCHW because every other op, the network, gradcheck and the tests
-    use it. Only the window rows are kept for the backward; the reordered
-    kernel is rebuilt there rather than held on the tape.
+    (F, kh*kw*C) in one matmul (im2col, Chellapilla et al. 2006).
+
+    At stride 1, when x needs a gradient, the forward drops its window rows.
+    The input gradient is the stride-1 convolution of the gradient, padded
+    by kh-1-pad (cropped when pad is larger), with the flipped, transposed
+    kernels (Dumoulin & Visin 2016): one matmul on the window rows ``grows``
+    of that padded gradient. The same rows give the weight gradient against
+    x itself, which the tape holds anyway as the op's parent: with X the
+    input as (N*H*W, C) rows and M = grows.T @ X as (kh, kw, F, C),
+    dK[f,c,i,j] = M[kh-1-i, kw-1-j, f, c].
+
+    Every other conv (stride > 1, or an input that needs no gradient, such
+    as the stem's image) keeps its window rows and takes dK = gmat.T @ rows.
+    At stride > 1 the input gradient is kh*kw slab adds of contiguous C-runs
+    into an (N,H,W,C) buffer. The boundary stays NCHW because every other
+    op, the network, gradcheck and the tests use it. The reordered kernel is
+    rebuilt in the backward rather than held on the tape.
     """
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d operands, got {x.shape} and {k.shape}")
@@ -235,18 +256,14 @@ def conv2d(x, k, stride=1, pad=0):
     f, ck, kh, kw = k.shape
     if ck != c:
         raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernel {k.shape}")
-    if stride < 1:
-        raise ConfigurationError(f"conv2d stride must be >= 1, got {stride}")
-    if pad < 0:
-        raise ConfigurationError(f"conv2d pad must be >= 0, got {pad}")
+    stride = _integer("conv2d", "stride", stride, 1)
+    pad = _integer("conv2d", "pad", pad, 0)
     hp, wp = h + 2 * pad, w + 2 * pad
     if kh > hp or kw > wp:
         raise ConfigurationError(
             f"conv2d kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    if ho < 1 or wo < 1:
-        raise ConfigurationError(f"conv2d output dims {ho}x{wo} are not positive")
 
     if kh == kw == 1 and pad == 0:
         cols = x.data[:, :, ::stride, ::stride].reshape(n, c, ho * wo)
@@ -269,19 +286,26 @@ def conv2d(x, k, stride=1, pad=0):
 
     rows = _window_rows(_pad_hw(x.data.transpose(0, 2, 3, 1), pad, pad), kh, kw, stride)
     out = Tensor(_nchw(rows @ _kernel_rows(k.data).T, n, ho, wo), op="conv2d")
+    from_grad_rows = stride == 1 and x.requires_grad
+    if from_grad_rows:
+        rows = None   # the backward's gradient rows give dK against x itself
 
     def bwd(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
+        if from_grad_rows:
+            grows = _window_rows(
+                _pad_hw(gmat.reshape(n, ho, wo, f), kh - 1 - pad, kw - 1 - pad), kh, kw, 1)
+            if k.requires_grad:
+                m = grows.T @ x.data.transpose(0, 2, 3, 1).reshape(n * h * w, c)
+                dk = m.reshape(kh, kw, f, c)[::-1, ::-1].transpose(2, 3, 0, 1)
+                _accum(k, np.ascontiguousarray(dk))
+            kflip = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, kh * kw * f)
+            _accum(x, _nchw(grows @ kflip.T, n, h, w))
+            return
         if k.requires_grad:
             dk = (gmat.T @ rows).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
             _accum(k, np.ascontiguousarray(dk))
         if not x.requires_grad:
-            return
-        if stride == 1:
-            grows = _window_rows(
-                _pad_hw(gmat.reshape(n, ho, wo, f), kh - 1 - pad, kw - 1 - pad), kh, kw, 1)
-            kflip = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, kh * kw * f)
-            _accum(x, _nchw(grows @ kflip.T, n, h, w))
             return
         drows = (gmat @ _kernel_rows(k.data)).reshape(n, ho, wo, kh, kw, c)
         dxp = np.zeros((n, hp, wp, c), dtype=drows.dtype)
@@ -408,12 +432,11 @@ def pool(x, mode, window, stride=None):
         raise ConfigurationError(f"pool mode must be 'max' or 'avg', got {mode!r}")
     if x.data.ndim != 4:
         raise DimensionError(f"pool expects (N,C,H,W), got {x.shape}")
-    stride = window if stride is None else stride
+    window = _integer("pool", "window", window, 1)
+    stride = window if stride is None else _integer("pool", "stride", stride, 1)
     h, w = x.shape[2:]
     if window > h or window > w:
         raise ConfigurationError(f"pool window {window} exceeds spatial dims {h}x{w}")
-    if window < 1 or stride < 1:
-        raise ConfigurationError("pool window and stride must be >= 1")
 
     if mode == "avg":
         if window != h or window != w:
@@ -485,8 +508,7 @@ def softmax(z):
 
 def pad2d(x, pad):
     """Zero-pad the two spatial dims of x:(N,C,H,W) by ``pad`` on every side."""
-    if pad < 0:
-        raise ConfigurationError(f"pad2d pad must be >= 0, got {pad}")
+    pad = _integer("pad2d", "pad", pad, 0)
     if pad == 0:
         return x
     out = Tensor(np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))), op="pad2d")

@@ -233,6 +233,13 @@ def _op_cases(rng):
     cases["conv2d_pointwise"] = ([("x", xq), ("k", kq)],
                                  lambda: pq(ad.conv2d(xq, kq, stride=2, pad=0)))
 
+    # the network's commonest conv: its dK and dX come from the padded gradient's rows
+    xd = _param(rng, 1, 2, 5, 5)
+    kd = _param(rng, 3, 2, 3, 3)
+    pdd = _project(rng, (1, 3, 5, 5))
+    cases["conv2d_padded"] = ([("x", xd), ("k", kd)],
+                              lambda: pdd(ad.conv2d(xd, kd, stride=1, pad=1)))
+
     return cases
 
 

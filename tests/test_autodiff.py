@@ -100,19 +100,31 @@ class TestConv2d:
 
     def test_pointwise_forward_holds_only_its_output(self):
         # a 1x1 stride-1 conv reads its input in place: the tape keeps no copy of it
-        rng = np.random.default_rng(13)
-        x = ad.Tensor(rng.standard_normal((2, 64, 28, 28)).astype(np.float32),
-                      requires_grad=True)
-        k = ad.Tensor(rng.standard_normal((32, 64, 1, 1)).astype(np.float32),
-                      requires_grad=True)
+        self._check_forward_holds_only_its_output((2, 64, 28, 28), (32, 64, 1, 1), pad=0, seed=13)
+
+    def test_stride_one_forward_keeps_no_window_rows(self):
+        # dK comes from the backward's gradient rows against x, which the tape holds anyway
+        self._check_forward_holds_only_its_output((2, 64, 28, 28), (64, 64, 3, 3), pad=1, seed=14)
+
+    @staticmethod
+    def _check_forward_holds_only_its_output(xs, ks, pad, seed):
+        rng = np.random.default_rng(seed)
+        x = ad.Tensor(rng.standard_normal(xs).astype(np.float32), requires_grad=True)
+        k = ad.Tensor(rng.standard_normal(ks).astype(np.float32), requires_grad=True)
         tracemalloc.start()
         try:
-            out = ad.conv2d(x, k, stride=1, pad=0)
+            out = ad.conv2d(x, k, stride=1, pad=pad)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert out._backward is not None
         assert held <= 1.1 * out.data.nbytes, f"{held} bytes held for a {out.data.nbytes}-byte output"
+
+    @pytest.mark.parametrize("name,value", [("stride", 1.5), ("stride", 2.0), ("pad", 1.0),
+                                            ("stride", None), ("pad", True)])
+    def test_non_integer_geometry_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match="integer"):
+            ad.conv2d(t64(np.ones((1, 1, 5, 5))), t64(np.ones((1, 1, 3, 3))), **{name: value})
 
 
 def _conv_reference(x, k, stride, pad, g):
@@ -173,6 +185,22 @@ class TestConv2dAgainstDirectLoops:
             assert got.shape == ref.shape and got.dtype == dtype, name
             err = np.max(np.abs(got - ref)) / np.max(np.abs(ref))
             assert err <= tol, f"{name}: relative error {err:.2e} > {tol:.2e}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("xs,ks,stride,pad", CONV_CASES)
+    def test_kernel_gradient_of_an_input_without_gradient(self, xs, ks, stride, pad, dtype):
+        # the stem's case: the window rows stay on the tape and give dK at every stride
+        rng = np.random.default_rng(0)
+        x = ad.Tensor(rng.standard_normal(xs).astype(dtype))
+        k = ad.Tensor(rng.standard_normal(ks).astype(dtype), requires_grad=True)
+        out = ad.conv2d(x, k, stride=stride, pad=pad)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        ad.tsum(ad.mul_const(out, g)).backward()
+        ref = _conv_reference(x.data, k.data, stride, pad, g)[2]
+        assert x.grad is None
+        assert k.grad.shape == ref.shape and k.grad.dtype == dtype
+        err = np.max(np.abs(k.grad - ref)) / np.max(np.abs(ref))
+        assert err <= 64 * np.finfo(dtype).eps, f"dK: relative error {err:.2e}"
 
 
 def _max_pool_grad_reference(x, window, stride, g):
@@ -405,6 +433,11 @@ class TestPool:
         with pytest.raises(ConfigurationError):
             ad.pool(t64(np.ones((1, 1, 2, 2))), "max", 3)
 
+    @pytest.mark.parametrize("window,stride", [(2.0, None), (2, 1.5), (True, None), (2, "2")])
+    def test_non_integer_window_or_stride_rejected(self, window, stride):
+        with pytest.raises(ConfigurationError, match="integer"):
+            ad.pool(t64(np.ones((1, 1, 4, 4))), "max", window, stride)
+
     def test_global_avg(self):
         x = t64(np.arange(16, dtype=np.float64).reshape(1, 1, 4, 4))
         assert ad.pool(x, "avg", 4).data[0, 0, 0, 0] == 7.5
@@ -423,6 +456,13 @@ class TestPool:
     def test_avg_smaller_than_the_input_rejected(self, window, stride):
         with pytest.raises(ConfigurationError):
             ad.pool(t64(np.ones((1, 1, 4, 4))), "avg", window, stride)
+
+
+class TestPad2d:
+    @pytest.mark.parametrize("pad", [1.0, True, None])
+    def test_non_integer_pad_rejected(self, pad):
+        with pytest.raises(ConfigurationError, match="integer"):
+            ad.pad2d(t64(np.ones((1, 1, 3, 3))), pad)
 
 
 class TestAdd:

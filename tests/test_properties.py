@@ -6,7 +6,9 @@ code; anything else escaping is a failure. Each byte property draws either
 arbitrary bytes or a valid file with a few bytes flipped, inserted, deleted
 or cut off; the checkpoint header property draws spec dicts with fields
 dropped, added or set to odd values, odd iteration and record counts, and
-odd score-scale labels.
+odd score-scale labels. The conv2d property draws shapes, strides and pads
+in and just outside the op's contract and checks every accepted call
+against the direct-loop reference of ``test_autodiff``.
 Example counts are bounded and the draws derandomized, so the suite grows
 by seconds and fails the same way on every run.
 """
@@ -22,6 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_autodiff import _conv_reference
+
+import ldlnet.autodiff as ad
 from ldlnet import checkpoint as ckpt_io
 from ldlnet.cli import main
 from ldlnet.data import load_index
@@ -222,3 +227,34 @@ def test_valid_files_are_accepted(valid_files):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["train", "--data", str(root / "absent.idx"), "--out", "m",
                      "--config", str(root / "valid.cfg")]) == 2
+
+
+@FUZZ
+@given(n=st.integers(1, 3), c=st.integers(1, 4), f=st.integers(1, 4),
+       h=st.integers(1, 9), w=st.integers(1, 9), kh=st.integers(1, 4), kw=st.integers(1, 4),
+       stride=st.integers(0, 3), pad=st.integers(-1, 3), x_grad=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_conv2d_matches_direct_loops_on_drawn_shapes(n, c, f, h, w, kh, kw, stride, pad,
+                                                     x_grad, dtype):
+    # a zero stride, a negative pad or a kernel larger than the padded input is
+    # refused with an LdlError; anything else matches at 64 epsilons
+    rng = np.random.default_rng(0)
+    x = ad.Tensor(rng.standard_normal((n, c, h, w)).astype(dtype), requires_grad=x_grad)
+    k = ad.Tensor(rng.standard_normal((f, c, kh, kw)).astype(dtype), requires_grad=True)
+    if stride < 1 or pad < 0 or kh > h + 2 * pad or kw > w + 2 * pad:
+        with pytest.raises(LdlError):
+            ad.conv2d(x, k, stride=stride, pad=pad)
+        return
+    out = ad.conv2d(x, k, stride=stride, pad=pad)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    ad.tsum(ad.mul_const(out, g)).backward()
+    refs = _conv_reference(x.data, k.data, stride, pad, g)
+    assert (x.grad is not None) == x_grad
+    tol = 64 * np.finfo(dtype).eps
+    for name, got, ref in zip(("out", "dX", "dK"), (out.data, x.grad, k.grad), refs):
+        if got is None:   # x needs no gradient
+            continue
+        assert got.shape == ref.shape and got.dtype == dtype, name
+        # windows that see only padding leave every reference value 0
+        err = np.max(np.abs(got - ref)) / (np.max(np.abs(ref)) or 1.0)
+        assert err <= tol, f"{name}: relative error {err:.2e} > {tol:.2e}"
