@@ -508,6 +508,8 @@ def softmax(z):
 
 def pad2d(x, pad):
     """Zero-pad the two spatial dims of x:(N,C,H,W) by ``pad`` on every side."""
+    if x.data.ndim != 4:
+        raise DimensionError(f"pad2d expects (N,C,H,W), got {x.shape}")
     pad = _integer("pad2d", "pad", pad, 0)
     if pad == 0:
         return x

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Verbs: synth, train, eval, predict, gradcheck, export. Options resolve as
-defaults < config file (--config, key=value lines, # comments) < flags, and
-every run prints the resolved configuration before acting.
+defaults < config file < flags, and every run prints the resolved
+configuration before acting. A config file (--config) holds key=value lines
+and # comments; each value is written as its flag's value and converted by
+the same parser, and a switch takes 1/0, true/false, yes/no or on/off.
 
 Exit codes:
     0  success
@@ -45,6 +47,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+REQUIRED = object()   # the default of an option that must be given
+_SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+
+# option -> (kind, default, help); a kind is a type, a tuple of choices, or
+# bool for a switch
 _SPEC_OPTS = {
     "blocks": (str, "1,1,1,1", "block counts n1,n2,n3,n4"),
     "widths": (str, "8,16,32,64", "stage widths w1,w2,w3,w4"),
@@ -71,91 +79,75 @@ _TRAIN_OPTS = {
     "test_count": (int, None, "explicit test split size"),
 }
 
-_VERB_OPTS = {
-    "synth": {
+# verb -> (help line, options)
+_VERBS = {
+    "synth": ("generate a synthetic rated-face dataset (index + PPM images)", {
         "n": (int, 500, "number of faces"),
         "raters": (int, 70, "raters per face"),
         "noise_sd": (float, 0.4, "rater noise standard deviation"),
         "bimodal_fraction": (float, 0.1, "fraction of controversial faces"),
         "image_size": (int, 32, "rendered image side"),
-        "out": (str, None, "output index path (required)"),
+        "out": (str, REQUIRED, "output index path"),
         "seed": (int, 0, "random seed"),
-    },
-    "train": {
-        "data": (str, None, "dataset index path (required)"),
-        "out": (str, None, "output checkpoint path (required)"),
+    }),
+    "train": ("train a network on a dataset index, writing checkpoint + metrics CSV", {
+        "data": (str, REQUIRED, "dataset index path"),
+        "out": (str, REQUIRED, "output checkpoint path"),
         "metrics": (str, None, "metrics CSV path (default <out>.metrics.csv)"),
         "seed": (int, 0, "random seed"),
         **_TRAIN_OPTS,
         **_SPEC_OPTS,
-    },
-    "eval": {
-        "data": (str, None, "dataset index path (required)"),
-        "ckpt": (str, None, "checkpoint path (required)"),
+    }),
+    "eval": ("evaluate a checkpoint: PC, mean KL, mean Chebyshev, per-sample CSV", {
+        "data": (str, REQUIRED, "dataset index path"),
+        "ckpt": (str, REQUIRED, "checkpoint path"),
         "out": (str, None, "optional per-sample CSV path"),
         "loss": (LOSS_KINDS, "euclidean", "loss column to report"),
-    },
-    "predict": {
-        "ckpt": (str, None, "checkpoint path (required)"),
-        "image": (str, None, "image path, PPM or PNG (required)"),
+    }),
+    "predict": ("predict the score distribution and weighted mean for one image", {
+        "ckpt": (str, REQUIRED, "checkpoint path"),
+        "image": (str, REQUIRED, "image path, PPM or PNG"),
         "crop": (str, None, "face crop box x0,y0,x1,y1"),
-    },
-    "gradcheck": {
+    }),
+    "gradcheck": ("run the finite-difference gradient suite (nonzero exit on failure)", {
         "seeds": (int, 50, "random draws per op"),
         "tol": (float, 1e-5, "per-op relative-error tolerance"),
         "e2e_tol": (float, 1e-4, "end-to-end relative-error tolerance"),
         "seed": (int, 0, "random seed"),
-    },
-    "export": {
-        "kind": (("checkpoint", "dataset"), None, "what to convert (required)"),
-        "src": (str, None, "input path (required)"),
-        "out": (str, None, "output path (required)"),
+    }),
+    "export": ("rewrite a checkpoint or dataset in the current format", {
+        "kind": (("checkpoint", "dataset"), REQUIRED, "what to convert"),
+        "src": (str, REQUIRED, "input path"),
+        "out": (str, REQUIRED, "output path"),
         "labels_as": (("auto", "ratings", "dist"), "auto", "dataset label representation"),
-    },
-}
-
-_REQUIRED = {
-    "synth": ("out",),
-    "train": ("data", "out"),
-    "eval": ("data", "ckpt"),
-    "predict": ("ckpt", "image"),
-    "gradcheck": (),
-    "export": ("kind", "src", "out"),
+    }),
 }
 
 
-_VERB_HELP = {
-    "synth": "generate a synthetic rated-face dataset (index + PPM images)",
-    "train": "train a network on a dataset index, writing checkpoint + metrics CSV",
-    "eval": "evaluate a checkpoint: PC, mean KL, mean Chebyshev, per-sample CSV",
-    "predict": "predict the score distribution and weighted mean for one image",
-    "gradcheck": "run the finite-difference gradient suite (nonzero exit on failure)",
-    "export": "rewrite a checkpoint or dataset in the current format",
-}
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def _build_parser():
+    """The ``ldl`` parser and its verb subparsers by name."""
     parser = _Parser(prog="ldl", description="label-distribution attractiveness engine")
-    sub = parser.add_subparsers(dest="verb", metavar="verb")
-    for verb, opts in _VERB_OPTS.items():
-        p = sub.add_parser(verb, prog=f"ldl {verb}", help=_VERB_HELP[verb])
-        p.add_argument("--config", default=argparse.SUPPRESS,
-                       help="key=value config file; flags override it")
-        for name, (kind, default, help_text) in opts.items():
-            flag = "--" + name.replace("_", "-")
-            if kind is bool:
-                p.add_argument(flag, dest=name, action="store_true",
-                               default=argparse.SUPPRESS, help=help_text)
-            elif isinstance(kind, tuple):
-                p.add_argument(flag, dest=name, choices=kind,
-                               default=argparse.SUPPRESS, help=help_text)
-            else:
-                p.add_argument(flag, dest=name, type=kind,
-                               default=argparse.SUPPRESS, help=help_text)
-    return parser
+    verbs = parser.add_subparsers(dest="verb", metavar="verb")
+    for verb, (help_line, options) in _VERBS.items():
+        p = verbs.add_parser(verb, prog=f"ldl {verb}", help=help_line)
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for name, (kind, default, help_text) in options.items():
+            if default is REQUIRED:
+                help_text += " (required)"
+            how = ({"action": "store_true"} if kind is bool else
+                   {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            p.add_argument(_flag(name), dest=name, default=default, help=help_text, **how)
+    return parser, verbs.choices
 
 
-def _read_config_file(path, schema):
+def _read_config_file(path, verb, parser):
+    """The options of a key=value config file, each converted by ``parser``
+    (the verb's own) exactly as the flag with that value would be."""
+    options = _VERBS[verb][1]
     values = {}
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
@@ -172,65 +164,48 @@ def _read_config_file(path, schema):
                 raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in schema:
+            if key not in options:
                 raise UsageError(f"{path}:{lineno}: unknown option {key!r}")
-            kind = schema[key][0]
+            if options[key][0] is bool:
+                if value.lower() not in _SWITCH_WORDS:
+                    raise UsageError(f"{path}:{lineno}: bad value: {key} takes one of "
+                                     f"{'/'.join(_SWITCH_WORDS)}, got {value!r}")
+                argv = [_flag(key)] if _SWITCH_WORDS[value.lower()] else []
+            else:
+                argv = [f"{_flag(key)}={value}"]   # '=' keeps a leading '-' a value
             try:
-                if kind is bool:
-                    values[key] = value.lower() in ("1", "true", "yes", "on")
-                elif isinstance(kind, tuple):
-                    if value not in kind:
-                        raise ValueError(f"must be one of {kind}")
-                    values[key] = value
-                else:
-                    values[key] = kind(value)
-            except ValueError as exc:
-                raise UsageError(f"{path}:{lineno}: bad value {value!r} for {key}: {exc}")
+                values[key] = getattr(parser.parse_args(argv), key)
+            except UsageError as exc:
+                raise UsageError(f"{path}:{lineno}: bad value: {exc}")
     return values
 
 
-class Command:
-    """A parsed verb plus its fully merged option map."""
-
-    def __init__(self, verb, options):
-        self.verb = verb
-        self.options = options
-
-    def __getattr__(self, name):
-        try:
-            return self.options[name]
-        except KeyError:
-            raise AttributeError(name)
-
-
 def parse(argv):
-    """argv -> Command, resolving defaults < config file < explicit flags."""
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    if ns.verb is None:
+    """argv -> the verb's Namespace, resolving defaults < config file < flags."""
+    parser, verbs = _build_parser()
+    args = parser.parse_args(argv)
+    if args.verb is None:
         raise UsageError("a verb is required (synth|train|eval|predict|gradcheck|export)")
-    schema = _VERB_OPTS[ns.verb]
-    merged = {name: default for name, (_, default, _h) in schema.items()}
-    given = vars(ns)
-    if "config" in given:
-        merged.update(_read_config_file(given["config"], schema))
-    for key, value in given.items():
-        if key not in ("verb", "config"):
-            merged[key] = value
-    for key in _REQUIRED[ns.verb]:
-        if merged.get(key) is None:
-            raise UsageError(f"ldl {ns.verb}: --{key.replace('_', '-')} is required")
-    return Command(ns.verb, merged)
+    if args.config is not None:
+        sub = verbs[args.verb]
+        sub.set_defaults(**_read_config_file(args.config, args.verb, sub))
+        args = parser.parse_args(argv)
+    del args.config
+    for key, value in vars(args).items():
+        if value is REQUIRED:
+            raise UsageError(f"ldl {args.verb}: {_flag(key)} is required")
+    return args
 
 
-def _print_config(cmd):
-    print(f"verb = {cmd.verb}")
-    for key in sorted(cmd.options):
-        print(f"{key} = {cmd.options[key]}")
+def _print_config(args):
+    print(f"verb = {args.verb}")
+    for key, value in sorted(vars(args).items()):
+        if key != "verb":
+            print(f"{key} = {value}")
 
 
 def _parse_int_tuple(text, what, n=4):
-    parts = [p for p in str(text).replace(";", ",").split(",") if p]
+    parts = str(text).replace(";", ",").split(",")
     if len(parts) != n:
         raise UsageError(f"{what} needs {n} comma-separated integers, got {text!r}")
     try:
@@ -431,24 +406,17 @@ _EXIT_CODES = {
 }
 
 
-def run(cmd):
-    """Execute a parsed command; returns the process exit code."""
-    _print_config(cmd)
+def main(argv=None):
+    """Parse argv, print the resolved configuration and run the verb; returns
+    the process exit code."""
     try:
+        cmd = parse(sys.argv[1:] if argv is None else list(argv))
+        _print_config(cmd)
         return _RUNNERS[cmd.verb](cmd)
     except tuple(_EXIT_CODES) as exc:
         label = "usage error" if isinstance(exc, UsageError) else "error"
         print(f"{label}: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-
-
-def main(argv=None):
-    try:
-        cmd = parse(sys.argv[1:] if argv is None else list(argv))
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    return run(cmd)
 
 
 if __name__ == "__main__":

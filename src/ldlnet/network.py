@@ -95,25 +95,20 @@ def full_scale_spec(depth=50):
 def stage_spatial_sizes(spec):
     """Spatial side after the stem and after each block group.
 
-    Raises a configuration error naming the first stage whose feature map
-    collapses to zero.
+    Raises a configuration error when the stem pool window exceeds its padded
+    input. Nothing else can collapse a map: the stem conv pads by
+    kernel // 2, so a valid spec (input_size >= 1) leaves it at least one
+    pixel, and every later map is ceil(size / 2) of the one before.
     """
     size = spec.input_size
     size = (size + 2 * (spec.stem_kernel // 2) - spec.stem_kernel) // spec.stem_stride + 1
-    if size < 1:
-        raise ConfigurationError(f"stem conv collapses the input to {size} pixels")
     padded = size + 2 * spec.stem_pool_pad
     if spec.stem_pool_window > padded:
         raise ConfigurationError(
             f"stem pool window {spec.stem_pool_window} exceeds feature map {padded}")
-    size = (padded - spec.stem_pool_window) // spec.stem_pool_stride + 1
-    sizes = []
-    for i in range(4):
-        if i > 0:
-            size = (size - 1) // 2 + 1
-        if size < 1:
-            raise ConfigurationError(f"stage {i + 1} spatial size collapsed to {size}")
-        sizes.append(size)
+    sizes = [(padded - spec.stem_pool_window) // spec.stem_pool_stride + 1]
+    for _ in range(3):
+        sizes.append((sizes[-1] - 1) // 2 + 1)
     return sizes
 
 

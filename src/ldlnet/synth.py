@@ -94,8 +94,8 @@ def synth_dataset(n, raters=70, noise_sd=0.4, bimodal_fraction=0.1, seed=0, imag
         raise ConfigurationError(f"synth_dataset needs raters >= 1, got {raters}")
     if image_size < 16:
         raise ConfigurationError(f"synth_dataset needs image_size >= 16, got {image_size}")
-    if noise_sd < 0:
-        raise ConfigurationError(f"noise_sd must be >= 0, got {noise_sd}")
+    if not 0 <= noise_sd < np.inf:
+        raise ConfigurationError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     if not 0.0 <= bimodal_fraction <= 1.0:
         raise ConfigurationError(f"bimodal_fraction must be in [0,1], got {bimodal_fraction}")
 

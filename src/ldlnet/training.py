@@ -63,6 +63,10 @@ class TrainConfig:
                      "last_layer_decay_mult", "eval_every"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("base_lr", "weight_decay", "momentum", "last_layer_lr_mult",
+                     "last_layer_decay_mult"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.lr_factor < 1.0:
             raise ConfigurationError(f"lr_factor must be in (0,1), got {self.lr_factor}")
         if self.weight_decay < 0 or self.momentum < 0:

@@ -76,6 +76,72 @@ class TestParse:
         assert "synth" in capsys.readouterr().out
 
 
+class TestOptionTable:
+    def test_defaults_are_the_library_defaults(self):
+        # the option table repeats TrainConfig's and NetworkSpec's defaults
+        from ldlnet.cli import _spec_from, _train_config
+        from ldlnet.network import NetworkSpec
+        from ldlnet.training import TrainConfig
+        cmd = parse(["train", "--data", "d", "--out", "m"])
+        assert _train_config(cmd) == TrainConfig()
+        assert _spec_from(cmd) == NetworkSpec()
+
+    def test_required_options_say_so_in_help(self, capsys):
+        with pytest.raises(SystemExit):
+            parse(["export", "--help"])
+        out = capsys.readouterr().out
+        assert "what to convert (required)" in out
+        assert "dataset label representation\n" in out
+
+    def test_config_value_is_read_as_its_flag_value(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lr = -0.5\nlast-lr-mult = 1e1\nout = -dash=ok\n")
+        cmd = parse(["train", "--data", "d", "--config", str(cfg)])
+        assert (cmd.lr, cmd.last_lr_mult, cmd.out) == (-0.5, 10.0, "-dash=ok")
+        assert not hasattr(cmd, "config")
+
+    @pytest.mark.parametrize("line", ["batch = 1.5", "loss = bogus"])
+    def test_config_conversion_error_names_the_line(self, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 3\n{line}\n")
+        with pytest.raises(UsageError) as exc:
+            parse(["train", "--data", "d", "--out", "m", "--config", str(cfg)])
+        assert f"{cfg}:2: bad value" in str(exc.value)
+
+    @pytest.mark.parametrize("word,value", [("yes", True), ("ON", True), ("1", True),
+                                            ("True", True), ("off", False), ("0", False),
+                                            ("no", False), ("FALSE", False)])
+    def test_config_switch_words(self, tmp_path, word, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no_skip = {word}\n")
+        assert parse(["train", "--data", "d", "--out", "m", "--config", str(cfg)]).no_skip is value
+
+    def test_config_switch_refuses_other_words(self, tmp_path, capsys):
+        # 'maybe' used to read as False and the run went on to load its data
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 3\nno_skip = maybe\n")
+        assert main(["train", "--data", str(tmp_path / "absent.idx"), "--out", "m",
+                     "--config", str(cfg)]) == 1
+        assert f"{cfg}:2: bad value" in capsys.readouterr().err
+
+    def test_missing_config_file_is_two(self, tmp_path, capsys):
+        assert main(["train", "--data", "d", "--out", "m",
+                     "--config", str(tmp_path / "absent.cfg")]) == 2
+        assert "config file not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blocks", ["1,,1,1,1", "1,1,1,1,", ",1,1,1"])
+    def test_empty_block_field_rejected(self, blocks):
+        from ldlnet.cli import _spec_from
+        with pytest.raises(UsageError) as exc:
+            _spec_from(parse(["train", "--data", "d", "--out", "m", "--blocks", blocks]))
+        assert "--blocks" in str(exc.value)
+
+    def test_non_finite_learning_rate_fails_before_loading_data(self, tmp_path, capsys):
+        assert main(["train", "--data", str(tmp_path / "absent.idx"), "--out", "m",
+                     "--lr", "nan"]) == 1
+        assert "base_lr must be finite" in capsys.readouterr().err
+
+
 _RLIMITED_MAIN = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
@@ -376,6 +442,20 @@ class TestVerbRoundTrip:
         b = load_index(out_idx)
         for sa, sb in zip(a.samples, b.samples):
             assert np.max(np.abs(sa.distribution - sb.distribution)) < 1e-6
+
+
+class TestSplitCounts:
+    def test_train_count_needs_test_count(self, workspace, capsys):
+        assert main(["train", "--data", str(workspace / "d.idx"), "--out",
+                     str(workspace / "c.ckpt"), "--train-count", "16"]) == 1
+        assert "--train-count and --test-count" in capsys.readouterr().err
+
+    def test_explicit_counts_train(self, workspace, capsys):
+        assert main(["train", "--data", str(workspace / "d.idx"),
+                     "--out", str(workspace / "c.ckpt"), "--iters", "2", "--batch", "8",
+                     "--eval-every", "2", "--train-count", "16", "--test-count", "8",
+                     "--blocks", "1,1,1,1", "--widths", "4,6,8,10", "--input-size", "16"]) == 0
+        assert (workspace / "c.ckpt").exists()
 
 
 class TestGradcheckVerb:

@@ -1,5 +1,7 @@
 """Tests for the residual network builder, initialization, and forward pass."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,28 @@ class TestSpec:
     def test_full_scale_spec_spatial_sizes(self):
         assert stage_spatial_sizes(full_scale_spec(50)) == [56, 28, 14, 7]
 
+    def test_only_the_stem_pool_can_collapse_a_map(self):
+        # the stem conv pads by kernel // 2 and each later stage takes
+        # ceil(size / 2), so every valid spec whose stem pool fits keeps
+        # every map at least one pixel wide; the stem side is checked
+        # against the ops themselves
+        grid = itertools.product(range(1, 8), range(1, 8), (1, 2, 3), (1, 2, 3), (1, 2), (0, 1))
+        for size, kernel, stride, window, pool_stride, pad in grid:
+            spec = NetworkSpec(input_size=size, stem_kernel=kernel, stem_stride=stride,
+                               stem_pool_window=window, stem_pool_stride=pool_stride,
+                               stem_pool_pad=pad)
+            x = ad.conv2d(ad.Tensor(np.zeros((1, 1, size, size))),
+                          ad.Tensor(np.zeros((1, 1, kernel, kernel))),
+                          stride=stride, pad=kernel // 2)
+            x = ad.pad2d(x, pad)
+            if window > x.shape[2]:
+                with pytest.raises(ConfigurationError, match="stem pool"):
+                    stage_spatial_sizes(spec)
+                continue
+            sizes = stage_spatial_sizes(spec)
+            assert sizes[0] == ad.pool(x, "max", window, pool_stride).shape[2]
+            assert min(sizes) >= 1
+
 
 class TestBuildAndForward:
     def test_toy_build_forward_valid_output(self):
@@ -113,6 +137,22 @@ class TestBuildAndForward:
         out = net.forward(np.random.default_rng(0).uniform(size=(2, 3, 16, 16)), mode="eval")
         assert out.logits.shape == (2, 1)
         assert out.distribution is None
+
+
+class TestStateDict:
+    def test_missing_key_rejected(self):
+        state = Network(TOY).state_dict()
+        del state["fc.weight"]
+        with pytest.raises(ConfigurationError) as exc:
+            Network(TOY).load_state_dict(state)
+        assert "missing ['fc.weight']" in str(exc.value)
+
+    def test_unexpected_key_rejected(self):
+        state = Network(TOY).state_dict()
+        state["fc.extra"] = np.zeros(3, dtype=np.float32)
+        with pytest.raises(ConfigurationError) as exc:
+            Network(TOY).load_state_dict(state)
+        assert "unexpected ['fc.extra']" in str(exc.value)
 
 
 class TestInitWeights:

@@ -6,9 +6,10 @@ code; anything else escaping is a failure. Each byte property draws either
 arbitrary bytes or a valid file with a few bytes flipped, inserted, deleted
 or cut off; the checkpoint header property draws spec dicts with fields
 dropped, added or set to odd values, odd iteration and record counts, and
-odd score-scale labels. The conv2d property draws shapes, strides and pads
-in and just outside the op's contract and checks every accepted call
-against the direct-loop reference of ``test_autodiff``.
+odd score-scale labels. The conv2d, max-pool and batch-norm properties draw
+shapes (and windows, strides and pads) in and just outside each op's
+contract and check every accepted call against the direct-loop references
+of ``test_autodiff``; a refused call must raise an ``LdlError``.
 Example counts are bounded and the draws derandomized, so the suite grows
 by seconds and fails the same way on every run.
 """
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_autodiff import _conv_reference
+from test_autodiff import _batch_norm_reference, _conv_reference, _max_pool_grad_reference
 
 import ldlnet.autodiff as ad
 from ldlnet import checkpoint as ckpt_io
@@ -258,3 +259,73 @@ def test_conv2d_matches_direct_loops_on_drawn_shapes(n, c, f, h, w, kh, kw, stri
         # windows that see only padding leave every reference value 0
         err = np.max(np.abs(got - ref)) / (np.max(np.abs(ref)) or 1.0)
         assert err <= tol, f"{name}: relative error {err:.2e} > {tol:.2e}"
+
+
+@FUZZ
+@given(n=st.integers(1, 3), c=st.integers(1, 3), h=st.integers(1, 9), w=st.integers(1, 9),
+       window=st.integers(0, 4), stride=st.integers(0, 3), pad=st.integers(-1, 2),
+       dtype=st.sampled_from([np.float32, np.float64]))
+def test_max_pool_matches_direct_loops_on_drawn_shapes(n, c, h, w, window, stride, pad, dtype):
+    # pad2d then pool, as the stem runs them, on integer inputs with many ties
+    # (the padding's 0 among them): output and dX are exact. A zero window or
+    # stride, a negative pad or a window larger than the padded input is refused
+    rng = np.random.default_rng(0)
+    x = ad.Tensor(rng.integers(-2, 3, size=(n, c, h, w)).astype(dtype), requires_grad=True)
+    if window < 1 or stride < 1 or pad < 0 or window > min(h, w) + 2 * pad:
+        with pytest.raises(LdlError):
+            ad.pool(ad.pad2d(x, pad), "max", window, stride)
+        return
+    xp = ad.pad2d(x, pad)
+    out = ad.pool(xp, "max", window, stride)
+    g = rng.integers(1, 100, size=out.shape).astype(dtype)
+    ad.tsum(ad.mul_const(out, g)).backward()
+    ref_out = np.array([[[[xp.data[a, b, i * stride:i * stride + window,
+                                   j * stride:j * stride + window].max()
+                           for j in range(out.shape[3])] for i in range(out.shape[2])]
+                         for b in range(c)] for a in range(n)])
+    ref_dx = _max_pool_grad_reference(xp.data, window, stride, g)
+    assert out.data.dtype == x.grad.dtype == dtype
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(x.grad, ref_dx[:, :, pad:pad + h, pad:pad + w])
+
+
+@FUZZ
+@given(n=st.integers(1, 4), c=st.integers(1, 4), h=st.integers(1, 5), w=st.integers(1, 5),
+       mean=st.floats(-20, 20), gamma_extra=st.sampled_from([0, 0, 0, 1]),
+       mode=st.sampled_from(["train", "eval"]), dtype=st.sampled_from([np.float32, np.float64]))
+def test_batch_norm_matches_direct_loops_on_drawn_shapes(n, c, h, w, mean, gamma_extra, mode,
+                                                         dtype):
+    # inputs at sd 2 around the drawn mean; a gamma/beta of the wrong length
+    # or a train-mode batch of one is refused, anything else matches at 64
+    # epsilons
+    rng = np.random.default_rng(0)
+    x = ad.Tensor(rng.normal(mean, 2.0, (n, c, h, w)).astype(dtype), requires_grad=True)
+    gamma = ad.Tensor(rng.uniform(0.5, 1.5, c + gamma_extra).astype(dtype), requires_grad=True)
+    beta = ad.Tensor(rng.standard_normal(c + gamma_extra).astype(dtype), requires_grad=True)
+    stats = ad.RunningStats(c, dtype=dtype)
+    stats.mean = rng.standard_normal(c).astype(dtype)
+    stats.var = rng.uniform(0.5, 2.0, c).astype(dtype)
+    if gamma_extra or (mode == "train" and n < 2):
+        with pytest.raises(LdlError):
+            ad.batch_norm(x, gamma, beta, mode=mode, stats=stats)
+        return
+    out = ad.batch_norm(x, gamma, beta, mode=mode, stats=stats)
+    g = rng.standard_normal(out.shape).astype(dtype)
+    ad.tsum(ad.mul_const(out, g)).backward()
+    fixed = {} if mode == "train" else {"mean": stats.mean, "var": stats.var}
+    refs = _batch_norm_reference(x.data, gamma.data, beta.data, g, **fixed)
+    tol = 64 * np.finfo(dtype).eps
+    for name, got, ref in zip(("out", "dX", "dgamma", "dbeta"),
+                              (out.data, x.grad, gamma.grad, beta.grad), refs):
+        assert got.shape == ref.shape and got.dtype == dtype, name
+        err = np.max(np.abs(got - ref)) / (np.max(np.abs(ref)) or 1.0)
+        assert err <= tol, f"{name}: relative error {err:.2e} > {tol:.2e}"
+
+
+@pytest.mark.parametrize("op", [lambda x: ad.pad2d(x, 1), lambda x: ad.pool(x, "max", 1),
+                                lambda x: ad.batch_norm(x, ad.Tensor(np.ones(2)),
+                                                        ad.Tensor(np.zeros(2)))])
+def test_pool_pad_and_batch_norm_refuse_other_ranks(op):
+    for shape in [(2, 2, 3), (2, 2, 3, 3, 1)]:
+        with pytest.raises(LdlError):
+            op(ad.Tensor(np.zeros(shape)))

@@ -104,3 +104,10 @@ class TestSynthDataset:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ConfigurationError):
             synth_dataset(**{"raters": 5, "seed": 0, "image_size": 16, **kwargs})
+
+    @pytest.mark.parametrize("noise_sd", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, noise_sd):
+        # NaN passed a `noise_sd < 0` check and then gave noiseless ratings
+        with pytest.raises(ConfigurationError) as exc:
+            synth_dataset(10, raters=5, noise_sd=noise_sd, image_size=16)
+        assert "noise_sd" in str(exc.value)

@@ -62,6 +62,14 @@ class TestSchedule:
         with pytest.raises(ConfigurationError):
             TrainConfig(batch_size=1)
 
+    @pytest.mark.parametrize("name,value", [("base_lr", math.nan), ("momentum", math.nan),
+                                            ("weight_decay", math.inf),
+                                            ("last_layer_lr_mult", math.nan)])
+    def test_non_finite_values_rejected(self, name, value):
+        with pytest.raises(ConfigurationError) as exc:
+            TrainConfig(**{name: value})
+        assert name in str(exc.value)
+
 
 class TestSgdStep:
     def _record(self, value, kind="weight", last=False, name="w"):
