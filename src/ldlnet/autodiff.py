@@ -227,7 +227,9 @@ def conv2d(x, k, stride=1, pad=0):
     view at stride 1 and the only array it keeps, each image's output is
     k2 @ cols[n] for k2 = k as (F, C). Its backward is dK = sum_n
     g[n] @ cols[n].T and dX = k2.T @ g, put into every stride-th pixel of
-    zeros when stride > 1.
+    zeros when stride > 1. dK is summed image by image into one (F, C)
+    buffer through one (F, C) scratch product, in batch order, so no
+    (N, F, C) stack of per-image products is ever held.
 
     Every other conv is channels-last inside the op. The forward transposes
     the padded input to (N,H,W,C) once, takes its window rows
@@ -273,7 +275,11 @@ def conv2d(x, k, stride=1, pad=0):
         def bwd(g):
             gv = g.reshape(n, f, ho * wo)
             if k.requires_grad:
-                _accum(k, np.matmul(gv, cols.transpose(0, 2, 1)).sum(axis=0).reshape(k.shape))
+                dk = gv[0] @ cols[0].T
+                part = np.empty_like(dk)
+                for gi, ci in zip(gv[1:], cols[1:]):
+                    dk += np.matmul(gi, ci.T, out=part)
+                _accum(k, dk.reshape(k.shape))
             if not x.requires_grad:
                 return
             dx = np.matmul(k2.T, gv).reshape(n, c, ho, wo)

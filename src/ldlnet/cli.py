@@ -285,9 +285,9 @@ def _run_train(cmd):
     from .data import load_index, split
     config = _train_config(cmd)
     spec = _spec_from(cmd)
-    ds = load_index(cmd.data, image_size=spec.input_size)
     if (cmd.train_count is None) != (cmd.test_count is None):
         raise UsageError("--train-count and --test-count must be given together")
+    ds = load_index(cmd.data, image_size=spec.input_size)
     if cmd.train_count is not None:
         ds = split(ds, counts=(cmd.train_count, cmd.test_count), seed=cmd.seed)
     else:

@@ -129,15 +129,23 @@ class EvalRecord:
 
 
 def sgd_step(records, velocities, config, iteration):
-    """One momentum-SGD update: v <- mu v - lr (g + wd w); w <- w + v."""
+    """One momentum-SGD update: v <- mu v - lr (g + wd w); w <- w + v.
+
+    Every gradient is checked before any record changes, so a non-finite
+    one leaves all weights, velocities and gradients as they were. Each
+    record's ``.grad`` is released once applied: the step owns the
+    gradients' lifetime, and none of them sits beside the next tape.
+    """
     lr = lr_at(config, iteration)
+    for rec in records:
+        g = rec.tensor.grad
+        if g is not None and not np.all(np.isfinite(g)):
+            raise NumericalError(
+                f"non-finite gradient at iteration {iteration} in parameter {rec.name}")
     for rec in records:
         g = rec.tensor.grad
         if g is None:
             g = np.zeros_like(rec.tensor.data)
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(
-                f"non-finite gradient at iteration {iteration} in parameter {rec.name}")
         lr_l = lr * (config.last_layer_lr_mult if rec.last_layer else 1.0)
         if rec.kind in ("bn_gamma", "bn_beta"):
             wd = 0.0
@@ -150,6 +158,7 @@ def sgd_step(records, velocities, config, iteration):
         v *= config.momentum
         v -= lr_l * (g + wd * rec.tensor.data)
         rec.tensor.data += v
+        rec.tensor.grad = None
 
 
 def _batch_arrays(dataset, indices):
@@ -273,8 +282,6 @@ def _fit(dataset, spec, config, loss_of, on_eval):
     for it in range(config.max_iter):
         batch_idx = next(batches)
         images, targets = _batch_arrays(ds, batch_idx)
-        for rec in records:     # before the forward, so they never sit beside its tape
-            rec.tensor.grad = None
         loss = loss_of(net.forward(images, mode="train"), targets, ds, batch_idx)
         if not np.isfinite(loss.data):
             raise NumericalError(f"non-finite loss at iteration {it}")

@@ -106,6 +106,24 @@ class TestConv2d:
         # dK comes from the backward's gradient rows against x, which the tape holds anyway
         self._check_forward_holds_only_its_output((2, 64, 28, 28), (64, 64, 3, 3), pad=1, seed=14)
 
+    def test_pointwise_backward_sums_dk_without_a_batch_stack(self):
+        # dK is summed image by image: no (N, F, C) stack of per-image products
+        rng = np.random.default_rng(15)
+        x = ad.Tensor(rng.standard_normal((4, 256, 7, 7)).astype(np.float32), requires_grad=True)
+        k = ad.Tensor(rng.standard_normal((512, 256, 1, 1)).astype(np.float32), requires_grad=True)
+        out = ad.conv2d(x, k)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out._backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 2 * k.data.nbytes + x.data.nbytes + g.nbytes    # dK, one part, dX, g
+        assert bound < 4 * 512 * 256 * 4                          # the N*F*C stack alone
+        assert peak < bound, f"{peak} bytes traced, bound {bound}"
+        assert k.grad.shape == k.shape and x.grad.shape == x.shape
+
     @staticmethod
     def _check_forward_holds_only_its_output(xs, ks, pad, seed):
         rng = np.random.default_rng(seed)

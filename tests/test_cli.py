@@ -450,6 +450,12 @@ class TestSplitCounts:
                      str(workspace / "c.ckpt"), "--train-count", "16"]) == 1
         assert "--train-count and --test-count" in capsys.readouterr().err
 
+    def test_count_flags_checked_before_the_data_is_read(self, tmp_path, capsys):
+        # a flag error is a usage error (1) even when --data does not exist (2)
+        assert main(["train", "--data", str(tmp_path / "absent.idx"), "--out",
+                     str(tmp_path / "m"), "--train-count", "16"]) == 1
+        assert "--train-count and --test-count" in capsys.readouterr().err
+
     def test_explicit_counts_train(self, workspace, capsys):
         assert main(["train", "--data", str(workspace / "d.idx"),
                      "--out", str(workspace / "c.ckpt"), "--iters", "2", "--batch", "8",

@@ -122,6 +122,32 @@ class TestSgdStep:
         msg = str(exc.value)
         assert "42" in msg and "stage2.block0.conv1.weight" in msg
 
+    def test_nan_gradient_changes_no_record(self):
+        # every gradient is checked before the first update
+        first = self._record(1.0, name="a")
+        second = self._record(1.0, name="b")
+        first.tensor.grad = np.array([0.5], dtype=np.float32)
+        second.tensor.grad = np.array([np.nan], dtype=np.float32)
+        velocities = {"a": np.array([0.25], dtype=np.float32)}
+        cfg = TrainConfig(max_iter=10, lr_step=10)
+        with pytest.raises(NumericalError, match="parameter b"):
+            sgd_step([first, second], velocities, cfg, 0)
+        assert first.tensor.data[0] == 1.0
+        assert velocities["a"][0] == 0.25 and "b" not in velocities
+        assert first.tensor.grad is not None and first.tensor.grad[0] == 0.5
+
+    def test_step_releases_every_gradient(self):
+        net = Network(TOY)
+        init_weights(net, 0)
+        ds = toy_dataset(8, seed=0, train=6)
+        images = np.stack([ds.samples[i].image for i in ds.train_idx[:4]])
+        targets = np.stack([ds.samples[i].distribution for i in ds.train_idx[:4]])
+        kl_loss_graph(net.forward(images, mode="train").distribution, targets).backward()
+        records = net.param_records()
+        assert all(rec.tensor.grad is not None for rec in records)
+        sgd_step(records, {}, TrainConfig(max_iter=10, lr_step=10), 0)
+        assert all(rec.tensor.grad is None for rec in records)
+
     def test_single_step_decreases_smooth_loss(self):
         # momentum 0, decay 0, tiny lr: one step must descend
         for seed in range(20):
