@@ -9,6 +9,13 @@ its ``.grad``, closure and parents once its closure has run, so each saved
 activation is freed as soon as the walk passes its last reader. A second
 backward through a consumed node raises :class:`ConfigurationError`.
 
+Every op records itself through one helper, ``_node(value, op, parents,
+vjp)``: the op computes its output value and hands over a vector-Jacobian
+product, ``vjp(g)``, that returns one gradient per parent (None for one it
+skips). In the backward, ``_node`` adds each gradient into its parent when
+that parent requires grad. A vjp reads ``requires_grad`` itself only to skip
+costly work: conv2d's dX and dK, and batch_norm's dx.
+
 Training runs in float32; float64 exists for finite-difference verification
 (see :mod:`ldlnet.gradcheck`).
 
@@ -129,12 +136,13 @@ def _accum(t, g):
     t.grad = g if t.grad is None else t.grad + g
 
 
-def _integer(op, name, value, least):
-    """``value`` as an int no smaller than ``least``; ConfigurationError for
-    anything else, a bool or a whole-valued float included."""
+def _integer(op, name, value, least=None):
+    """``value`` as an int no smaller than ``least`` (when given);
+    ConfigurationError for anything else, a bool or a whole-valued float
+    included."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{op} {name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ConfigurationError(f"{op} {name} must be >= {least}, got {value}")
     return int(value)
 
@@ -145,6 +153,19 @@ def _wire(out, parents, bwd):
         out._backward = bwd
         out.requires_grad = True
     return out
+
+
+def _node(value, op, parents, vjp):
+    """The Tensor ``value`` that ``op`` made from ``parents``, wired to the
+    tape with a backward that adds ``vjp(g)``'s gradients into the parents
+    that require grad. The vjp's scratch arrays are freed before any
+    gradient is added."""
+    def bwd(g):
+        for p, dp in zip(parents, vjp(g)):
+            if dp is not None and p.requires_grad:
+                _accum(p, dp)
+
+    return _wire(Tensor(value, op=op), parents, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -159,17 +180,8 @@ def dense(x, w, b):
         raise DimensionError(f"dense inner dimensions disagree: x {x.shape} vs w {w.shape}")
     if b.data.ndim != 1 or b.shape[0] != w.shape[1]:
         raise DimensionError(f"dense bias shape {b.shape} does not match w {w.shape}")
-    out = Tensor(x.data @ w.data + b.data, op="dense")
-
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, g @ w.data.T)
-        if w.requires_grad:
-            _accum(w, x.data.T @ g)
-        if b.requires_grad:
-            _accum(b, g.sum(axis=0))
-
-    return _wire(out, (x, w, b), bwd)
+    return _node(x.data @ w.data + b.data, "dense", (x, w, b),
+                 lambda g: (g @ w.data.T, x.data.T @ g, g.sum(axis=0)))
 
 
 def _pad_hw(a, ph, pw):
@@ -270,57 +282,55 @@ def conv2d(x, k, stride=1, pad=0):
     if kh == kw == 1 and pad == 0:
         cols = x.data[:, :, ::stride, ::stride].reshape(n, c, ho * wo)
         k2 = k.data.reshape(f, c)
-        out = Tensor(np.matmul(k2, cols).reshape(n, f, ho, wo), op="conv2d")
 
-        def bwd(g):
+        def vjp(g):
             gv = g.reshape(n, f, ho * wo)
+            dk = None
             if k.requires_grad:
                 dk = gv[0] @ cols[0].T
                 part = np.empty_like(dk)
                 for gi, ci in zip(gv[1:], cols[1:]):
                     dk += np.matmul(gi, ci.T, out=part)
-                _accum(k, dk.reshape(k.shape))
+                dk = dk.reshape(k.shape)
             if not x.requires_grad:
-                return
+                return None, dk
             dx = np.matmul(k2.T, gv).reshape(n, c, ho, wo)
             if stride > 1:
                 dx, dcols = np.zeros_like(x.data), dx
                 dx[:, :, ::stride, ::stride] = dcols
-            _accum(x, dx)
+            return dx, dk
 
-        return _wire(out, (x, k), bwd)
+        return _node(np.matmul(k2, cols).reshape(n, f, ho, wo), "conv2d", (x, k), vjp)
 
     rows = _window_rows(_pad_hw(x.data.transpose(0, 2, 3, 1), pad, pad), kh, kw, stride)
-    out = Tensor(_nchw(rows @ _kernel_rows(k.data).T, n, ho, wo), op="conv2d")
+    out = _nchw(rows @ _kernel_rows(k.data).T, n, ho, wo)
     from_grad_rows = stride == 1 and x.requires_grad
     if from_grad_rows:
         rows = None   # the backward's gradient rows give dK against x itself
 
-    def bwd(g):
+    def vjp(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
+        dk = None
         if from_grad_rows:
             grows = _window_rows(
                 _pad_hw(gmat.reshape(n, ho, wo, f), kh - 1 - pad, kw - 1 - pad), kh, kw, 1)
             if k.requires_grad:
                 m = grows.T @ x.data.transpose(0, 2, 3, 1).reshape(n * h * w, c)
-                dk = m.reshape(kh, kw, f, c)[::-1, ::-1].transpose(2, 3, 0, 1)
-                _accum(k, np.ascontiguousarray(dk))
+                dk = np.ascontiguousarray(m.reshape(kh, kw, f, c)[::-1, ::-1].transpose(2, 3, 0, 1))
             kflip = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, kh * kw * f)
-            _accum(x, _nchw(grows @ kflip.T, n, h, w))
-            return
+            return _nchw(grows @ kflip.T, n, h, w), dk
         if k.requires_grad:
-            dk = (gmat.T @ rows).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
-            _accum(k, np.ascontiguousarray(dk))
+            dk = np.ascontiguousarray((gmat.T @ rows).reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
         if not x.requires_grad:
-            return
+            return None, dk
         drows = (gmat @ _kernel_rows(k.data)).reshape(n, ho, wo, kh, kw, c)
         dxp = np.zeros((n, hp, wp, c), dtype=drows.dtype)
         for u in range(kh):
             for v in range(kw):
                 dxp[:, u:u + stride * ho:stride, v:v + stride * wo:stride] += drows[:, :, :, u, v]
-        _accum(x, np.ascontiguousarray(dxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)))
+        return np.ascontiguousarray(dxp[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)), dk
 
-    return _wire(out, (x, k), bwd)
+    return _node(out, "conv2d", (x, k), vjp)
 
 
 class RunningStats:
@@ -394,36 +404,27 @@ def batch_norm(x, gamma, beta, mode="train", stats=None, eps=1e-5):
     else:
         out = xv * s[:, None]
         out += (beta.data - mu * s)[:, None]
-    out = Tensor(out.reshape(x.shape), op="batch_norm")
 
-    def bwd(g):
+    def vjp(g):
         gv = g.reshape(xv.shape)
         sum_g = np.einsum("nci->c", gv)
         sum_gxc = np.einsum("nci,nci->c", gv, xv) - mu * sum_g
-        if gamma.requires_grad:
-            _accum(gamma, inv * sum_gxc)
-        if beta.requires_grad:
-            _accum(beta, sum_g)
+        dx = None
         if x.requires_grad:
             dx = gv * s[:, None]
             if mode == "train":
                 b = s * inv * inv * sum_gxc / m
                 dx -= xv * b[:, None]
                 dx += (b * mu - s * sum_g / m)[:, None]
-            _accum(x, dx.reshape(x.shape))
+            dx = dx.reshape(x.shape)
+        return dx, inv * sum_gxc, sum_g
 
-    return _wire(out, (x, gamma, beta), bwd)
+    return _node(out.reshape(x.shape), "batch_norm", (x, gamma, beta), vjp)
 
 
 def relu(x):
     """Elementwise max(0, x); subgradient at 0 defined as 0."""
-    out = Tensor(np.maximum(x.data, 0), op="relu")
-
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, g * (x.data > 0))
-
-    return _wire(out, (x,), bwd)
+    return _node(np.maximum(x.data, 0), "relu", (x,), lambda g: (g * (x.data > 0),))
 
 
 def pool(x, mode, window, stride=None):
@@ -448,13 +449,8 @@ def pool(x, mode, window, stride=None):
         if window != h or window != w:
             raise ConfigurationError(
                 f"average pooling is global only: window {window} on {h}x{w}")
-        out = Tensor(x.data.mean(axis=(2, 3), keepdims=True), op="avg_pool")
-
-        def bwd(g):
-            if x.requires_grad:
-                _accum(x, np.broadcast_to(g / (h * w), x.shape).copy())
-
-        return _wire(out, (x,), bwd)
+        return _node(x.data.mean(axis=(2, 3), keepdims=True), "avg_pool", (x,),
+                     lambda g: (np.broadcast_to(g / (h * w), x.shape).copy(),))
 
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
@@ -466,35 +462,24 @@ def pool(x, mode, window, stride=None):
     top = slab(x.data, 0, 0).copy()
     for u, v in offsets[1:]:
         np.maximum(top, slab(x.data, u, v), out=top)
-    out = Tensor(top, op="max_pool")
 
-    def bwd(g):
-        if not x.requires_grad:
-            return
+    def vjp(g):
         dx = np.zeros_like(x.data)
         free = np.ones(top.shape, dtype=bool)   # outputs no earlier slab has taken
         for u, v in offsets:
             hit = free & (slab(x.data, u, v) == top)
             free &= ~hit
             slab(dx, u, v)[...] += g * hit
-        _accum(x, dx)
+        return (dx,)
 
-    return _wire(out, (x,), bwd)
+    return _node(top, "max_pool", (x,), vjp)
 
 
 def add(a, b):
     """Elementwise sum of identically shaped tensors (residual shortcut)."""
     if a.shape != b.shape:
         raise DimensionError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data, op="add")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g)
-
-    return _wire(out, (a, b), bwd)
+    return _node(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def softmax(z):
@@ -503,13 +488,7 @@ def softmax(z):
         raise DimensionError(f"softmax expects (N,c) with c >= 2, got {z.shape}")
     e = np.exp(z.data - z.data.max(axis=1, keepdims=True))
     p = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(p, op="softmax")
-
-    def bwd(g):
-        if z.requires_grad:
-            _accum(z, p * (g - (g * p).sum(axis=1, keepdims=True)))
-
-    return _wire(out, (z,), bwd)
+    return _node(p, "softmax", (z,), lambda g: (p * (g - (g * p).sum(axis=1, keepdims=True)),))
 
 
 def pad2d(x, pad):
@@ -519,13 +498,8 @@ def pad2d(x, pad):
     pad = _integer("pad2d", "pad", pad, 0)
     if pad == 0:
         return x
-    out = Tensor(np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))), op="pad2d")
-
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, g[:, :, pad:-pad, pad:-pad])
-
-    return _wire(out, (x,), bwd)
+    return _node(np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))), "pad2d", (x,),
+                 lambda g: (g[:, :, pad:-pad, pad:-pad],))
 
 
 # ---------------------------------------------------------------------------
@@ -535,115 +509,53 @@ def pad2d(x, pad):
 def sub(a, b):
     if a.shape != b.shape:
         raise DimensionError(f"sub shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data - b.data, op="sub")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, -g)
-
-    return _wire(out, (a, b), bwd)
+    return _node(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
 
 def mul(a, b):
     if a.shape != b.shape:
         raise DimensionError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data * b.data, op="mul")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g * b.data)
-        if b.requires_grad:
-            _accum(b, g * a.data)
-
-    return _wire(out, (a, b), bwd)
+    return _node(a.data * b.data, "mul", (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def mul_const(x, c):
     """Multiply by a constant array (no gradient flows into ``c``)."""
     c = np.asarray(c, dtype=x.dtype)
-    out = Tensor(x.data * c, op="mul_const")
-
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, g * c)
-
-    return _wire(out, (x,), bwd)
+    return _node(x.data * c, "mul_const", (x,), lambda g: (g * c,))
 
 
 def scale(x, s):
-    out = Tensor(x.data * s, op="scale")
-
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, g * s)
-
-    return _wire(out, (x,), bwd)
+    return _node(x.data * s, "scale", (x,), lambda g: (g * s,))
 
 
 def add_scalar(x, s):
-    out = Tensor(x.data + s, op="add_scalar")
-
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, g)
-
-    return _wire(out, (x,), bwd)
+    return _node(x.data + s, "add_scalar", (x,), lambda g: (g,))
 
 
 def tsum(x, axis=None):
     """Sum over all elements (axis=None, scalar result) or over one axis."""
-    out = Tensor(x.data.sum(axis=axis), op="sum")
 
-    def bwd(g):
-        if not x.requires_grad:
-            return
-        if axis is None:
-            _accum(x, np.broadcast_to(g, x.shape).copy())
-        else:
-            _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
+    def vjp(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, x.shape).copy(),)
 
-    return _wire(out, (x,), bwd)
+    return _node(x.data.sum(axis=axis), "sum", (x,), vjp)
 
 
 def sqrt_(x):
     root = np.sqrt(x.data)
-    out = Tensor(root, op="sqrt")
-
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, g * 0.5 / root)
-
-    return _wire(out, (x,), bwd)
+    return _node(root, "sqrt", (x,), lambda g: (g * 0.5 / root,))
 
 
 def log_(x):
-    out = Tensor(np.log(x.data), op="log")
-
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, g / x.data)
-
-    return _wire(out, (x,), bwd)
+    return _node(np.log(x.data), "log", (x,), lambda g: (g / x.data,))
 
 
 def clamp_min(x, floor):
     """Elementwise max(x, floor); gradient passes only where x > floor."""
-    out = Tensor(np.maximum(x.data, floor), op="clamp_min")
-
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, g * (x.data > floor))
-
-    return _wire(out, (x,), bwd)
+    return _node(np.maximum(x.data, floor), "clamp_min", (x,), lambda g: (g * (x.data > floor),))
 
 
 def reshape(x, shape):
-    out = Tensor(x.data.reshape(shape), op="reshape")
-
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, g.reshape(x.shape))
-
-    return _wire(out, (x,), bwd)
+    return _node(x.data.reshape(shape), "reshape", (x,), lambda g: (g.reshape(x.shape),))

@@ -248,6 +248,7 @@ def gradient_suite(num_seeds=50, eps=1e-5, tol=1e-5):
 
     Returns (per-op max rel err dict, passed flag).
     """
+    ad._integer("gradient_suite", "num_seeds", num_seeds, 1)
     worst = {}
     for s in range(num_seeds):
         rng = np.random.default_rng(1000 + s)
@@ -271,6 +272,7 @@ def end_to_end_check(seed=0, eps=1e-5, tol=1e-4, max_per_param=8):
     """
     from .network import Network, NetworkSpec, init_weights
 
+    ad._integer("end_to_end_check", "seed", seed, 0)
     spec = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
                        input_size=16)
     net = Network(spec, dtype=np.float64)

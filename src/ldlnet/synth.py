@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import _integer
 from .data import Dataset, Sample
 from .distributions import ScoreScale, distribution_from_ratings, weighted_mean
 from .errors import ConfigurationError
@@ -98,6 +99,7 @@ def synth_dataset(n, raters=70, noise_sd=0.4, bimodal_fraction=0.1, seed=0, imag
         raise ConfigurationError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     if not 0.0 <= bimodal_fraction <= 1.0:
         raise ConfigurationError(f"bimodal_fraction must be in [0,1], got {bimodal_fraction}")
+    _integer("synth_dataset", "seed", seed, 0)
 
     scale = ScoreScale()
     rng = np.random.default_rng(seed)

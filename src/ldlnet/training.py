@@ -57,6 +57,9 @@ class TrainConfig:
     eval_every: int = 500
 
     def __post_init__(self):
+        for name in ("batch_size", "lr_step", "max_iter", "augment_factor", "eval_every"):
+            ad._integer("TrainConfig", name, getattr(self, name))
+        ad._integer("TrainConfig", "seed", self.seed, 0)
         if self.batch_size < 2:
             raise ConfigurationError(f"batch_size must be >= 2 (batch norm), got {self.batch_size}")
         for name in ("base_lr", "lr_step", "max_iter", "last_layer_lr_mult",

@@ -13,7 +13,7 @@ import pytest
 import ldlnet.autodiff as ad
 from ldlnet.distributions import batch_loss_graph
 from ldlnet.errors import BatchSizeError, ConfigurationError, DimensionError
-from ldlnet.gradcheck import grad_check
+from ldlnet.gradcheck import end_to_end_check, grad_check, gradient_suite
 from ldlnet.network import Network, NetworkSpec, init_weights
 
 
@@ -621,7 +621,63 @@ class TestTapeRelease:
             assert np.array_equal(rec.tensor.grad, before[rec.name]), rec.name
 
 
+_GATED_PARENTS = {
+    "dense": lambda rng: [rng.standard_normal((3, 4)), rng.standard_normal((4, 2)),
+                          rng.standard_normal(2)],
+    "add": lambda rng: [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))],
+    "sub": lambda rng: [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))],
+    "mul": lambda rng: [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))],
+    "batch_norm": lambda rng: [rng.standard_normal((2, 3, 2, 2)), rng.uniform(0.5, 1.5, 3),
+                               rng.standard_normal(3)],
+}
+
+
+class TestGradientGating:
+    @pytest.mark.parametrize("op", sorted(_GATED_PARENTS))
+    def test_a_parent_that_needs_no_gradient_gets_none(self, op):
+        arrays = _GATED_PARENTS[op](np.random.default_rng(31))
+        for frozen in range(len(arrays)):
+            parents = [t64(a, requires_grad=i != frozen) for i, a in enumerate(arrays)]
+            out = getattr(ad, op)(*parents)
+            ad.tsum(ad.mul(out, out)).backward()
+            for i, p in enumerate(parents):
+                assert (p.grad is None) == (i == frozen), (op, i, frozen)
+                if p.grad is not None:
+                    assert p.grad.shape == p.shape
+
+    def test_conv_backward_builds_no_gradient_for_an_input_that_needs_none(self):
+        # the stem's case: its input is the image, so the backward computes dK only
+        rng = np.random.default_rng(32)
+        xs = rng.standard_normal((2, 16, 32, 32)).astype(np.float32)
+        ks = rng.standard_normal((4, 16, 3, 3)).astype(np.float32)
+        peaks = {}
+        for needs_grad in (False, True):
+            x = ad.Tensor(xs, requires_grad=needs_grad)
+            k = ad.Tensor(ks, requires_grad=True)
+            out = ad.conv2d(x, k, stride=1, pad=1)
+            g = rng.standard_normal(out.shape).astype(np.float32)
+            tracemalloc.start()
+            try:
+                out._backward(g)
+                _, peaks[needs_grad] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (x.grad is not None) == needs_grad and k.grad.shape == k.shape
+        assert peaks[False] < xs.nbytes <= peaks[True], peaks
+
+
 class TestGradCheckHarness:
+    @pytest.mark.parametrize("num_seeds", [0, -2, 1.0])
+    def test_suite_without_a_draw_is_refused(self, num_seeds):
+        # no draw would check no op and still pass
+        with pytest.raises(ConfigurationError, match="num_seeds"):
+            gradient_suite(num_seeds=num_seeds)
+
+    @pytest.mark.parametrize("seed", [-1, 0.5])
+    def test_end_to_end_check_refuses_a_bad_seed(self, seed):
+        with pytest.raises(ConfigurationError, match="end_to_end_check seed"):
+            end_to_end_check(seed=seed)
+
     def test_dense_with_squared_loss_passes(self):
         rng = np.random.default_rng(17)
         x = t64(rng.standard_normal((4, 3)))

@@ -337,6 +337,55 @@ class TestExitCodes:
         assert code == 5
         assert "constant" in capsys.readouterr().err
 
+    def test_non_finite_loss_is_four(self, tmp_path, capsys):
+        from ldlnet.data import save_index
+        from ldlnet.synth import synth_dataset
+        idx = save_index(synth_dataset(8, raters=3, seed=0, image_size=16), tmp_path / "d.idx")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--data", str(idx), "--out", str(tmp_path / "m.ckpt"),
+                         "--lr", "1e30", "--iters", "2", "--batch", "4", "--eval-every", "1",
+                         "--blocks", "1,1,1,1", "--widths", "4,6,8,10", "--input-size", "16"])
+        assert code == 4
+        assert "non-finite loss at iteration 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_wrong_backward_is_six(self, capsys, monkeypatch):
+        from ldlnet import autodiff
+        relu = autodiff.relu
+
+        def relu_with_scaled_backward(t):
+            out = relu(t)
+            backward = out._backward
+            if backward is not None:
+                out._backward = lambda g: backward(1.05 * g)
+            return out
+
+        monkeypatch.setattr(autodiff, "relu", relu_with_scaled_backward)
+        assert main(["gradcheck", "--seeds", "1"]) == 6
+        out = capsys.readouterr().out
+        assert "op relu: max rel err" in out and "[FAIL]" in out
+        assert out.rstrip().endswith("gradient suite FAIL")
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_gradcheck_without_draws_is_one(self, capsys, seeds):
+        # a suite of no draws would check no op and still pass
+        assert main(["gradcheck", "--seeds", seeds]) == 1
+        captured = capsys.readouterr()
+        assert "num_seeds must be >= 1" in captured.err
+        assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("args", [
+        ["synth", "--out", "{tmp}/s.idx", "--n", "4"],
+        ["train", "--data", "{tmp}/absent.idx", "--out", "{tmp}/m.ckpt"],
+        ["gradcheck", "--seeds", "1"],
+    ])
+    def test_negative_seed_is_one(self, tmp_path, capsys, args):
+        # refused before it reaches numpy, which raises a raw ValueError
+        argv = [a.format(tmp=tmp_path) for a in args] + ["--seed", "-1"]
+        assert main(argv) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):

@@ -100,6 +100,8 @@ class TestSynthDataset:
         dict(n=10, image_size=8),
         dict(n=10, noise_sd=-0.1),
         dict(n=10, bimodal_fraction=1.5),
+        dict(n=10, seed=-1),
+        dict(n=10, seed=1.5),
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -62,6 +62,26 @@ class TestSchedule:
         with pytest.raises(ConfigurationError):
             TrainConfig(batch_size=1)
 
+    @pytest.mark.parametrize("name,value", [
+        ("batch_size", 2.5), ("max_iter", 3.5), ("augment_factor", 1.5), ("seed", 1.5),
+        ("lr_step", 4000.0), ("eval_every", True), ("batch_size", "32"), ("seed", None),
+    ])
+    def test_integer_fields_refuse_other_types(self, name, value):
+        # a float passes every range check, then fails deep inside training
+        with pytest.raises(ConfigurationError, match=f"TrainConfig {name} must be an integer"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("seed", -1, "TrainConfig seed must be >= 0, got -1"),
+        ("batch_size", 1, "batch_size must be >= 2 (batch norm), got 1"),
+        ("max_iter", 0, "max_iter must be positive, got 0"),
+        ("augment_factor", 0, "augment_factor must be >= 1, got 0"),
+    ])
+    def test_integer_fields_refuse_out_of_range_values(self, name, value, message):
+        with pytest.raises(ConfigurationError) as exc:
+            TrainConfig(**{name: value})
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("name,value", [("base_lr", math.nan), ("momentum", math.nan),
                                             ("weight_decay", math.inf),
                                             ("last_layer_lr_mult", math.nan)])
