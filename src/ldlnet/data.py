@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .autodiff import _integer
 from .distributions import ScoreScale, distribution_from_ratings, validate_distribution, weighted_mean
 from .errors import ConfigurationError, DatasetError, ValidationError
 from .imageio import read_image, write_ppm
@@ -50,6 +51,7 @@ class Dataset:
 
 def split(dataset, train_fraction=None, counts=None, seed=0):
     """Uniform random disjoint train/test split, deterministic in the seed."""
+    _integer("split", "seed", seed, 0)
     n = dataset.n
     if counts is not None:
         tr, te = int(counts[0]), int(counts[1])
@@ -100,6 +102,7 @@ def _child_seed(seed, i, j):
 
 def expand(dataset, factor, seed=0):
     """Each train sample plus (factor - 1) augmented copies; test split untouched."""
+    _integer("expand", "seed", seed, 0)
     if factor < 1:
         raise ConfigurationError(f"expand factor must be >= 1, got {factor}")
     if factor == 1:

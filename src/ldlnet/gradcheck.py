@@ -24,7 +24,6 @@ class ParamCheck:
     name: str
     checked: int
     max_rel_err: float
-    worst_index: int
 
 
 @dataclass
@@ -80,6 +79,8 @@ def grad_check(named_params, loss_fn, eps=1e-5, tol=1e-5, max_per_param=None, se
         if t.dtype != np.float64:
             raise ConfigurationError(
                 f"grad_check requires 64-bit parameters, {name} is {t.dtype}")
+        if not t.requires_grad:
+            raise ConfigurationError(f"grad_check parameter {name} does not require grad")
         if not t.data.flags["C_CONTIGUOUS"]:
             # the flat perturbation view below must alias the tensor's storage
             t.data = np.ascontiguousarray(t.data)
@@ -105,7 +106,6 @@ def grad_check(named_params, loss_fn, eps=1e-5, tol=1e-5, max_per_param=None, se
         else:
             idxs = np.arange(flat.size)
         worst = 0.0
-        worst_i = -1
         with ad.no_grad():
             for i in idxs:
                 orig = flat[i]
@@ -117,10 +117,8 @@ def grad_check(named_params, loss_fn, eps=1e-5, tol=1e-5, max_per_param=None, se
                 if not (np.isfinite(lp) and np.isfinite(lm)):
                     report.failure = f"non-finite loss while perturbing {name}[{i}]"
                     return report
-                err = _rel_err(a_flat[i], (lp - lm) / (2.0 * eps))
-                if err > worst:
-                    worst, worst_i = err, int(i)
-        report.params.append(ParamCheck(name, len(idxs), worst, worst_i))
+                worst = max(worst, _rel_err(a_flat[i], (lp - lm) / (2.0 * eps)))
+        report.params.append(ParamCheck(name, len(idxs), worst))
     return report
 
 
@@ -132,114 +130,71 @@ def _param(rng, *shape):
     return ad.Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
 
 
-def _away_from_kink(t, margin=0.05):
-    t.data = t.data + np.where(t.data >= 0, margin, -margin)
-    return t
-
-
-def _project(rng, shape):
-    """A fixed random projection to a scalar so upstream gradients are non-uniform."""
+def _case(rng, op, **params):
+    """``(named params, loss_fn)`` for ``op`` over ``params``, in order. A
+    scalar output is the loss; any other is projected to one by random weights,
+    fixed and drawn after the params, so upstream gradients are non-uniform."""
+    args = tuple(params.values())
+    with ad.no_grad():
+        shape = op(*args).shape
+    if shape == ():
+        return list(params.items()), lambda: op(*args)
     w = rng.standard_normal(shape)
-    return lambda out: ad.tsum(ad.mul_const(out, w))
+    return list(params.items()), lambda: ad.tsum(ad.mul_const(op(*args), w))
 
 
 def _op_cases(rng):
-    """One loss_fn per op, each over fresh random small shapes."""
+    """One loss_fn per op, each over fresh random small shapes. Ops are looked
+    up on every call, so a patched op is the one checked."""
+    def gamma():
+        return ad.Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True, dtype=np.float64)
+
+    def conv(stride, pad):
+        return lambda x, k: ad.conv2d(x, k, stride=stride, pad=pad)
+
     cases = {}
-
-    x = _param(rng, 3, 4)
-    w = _param(rng, 4, 2)
-    b = _param(rng, 2)
-    pd = _project(rng, (3, 2))
-    cases["dense"] = ([("x", x), ("w", w), ("b", b)],
-                      lambda: pd(ad.dense(x, w, b)))
-
-    xc = _param(rng, 1, 2, 5, 5)
-    k = _param(rng, 3, 2, 3, 3)
-    pc = _project(rng, (1, 3, 3, 3))
-    cases["conv2d"] = ([("x", xc), ("k", k)],
-                       lambda: pc(ad.conv2d(xc, k, stride=1, pad=0)))
-
-    xs = _param(rng, 2, 2, 6, 6)
-    ks = _param(rng, 2, 2, 3, 3)
-    ps = _project(rng, (2, 2, 3, 3))
-    cases["conv2d_strided"] = ([("x", xs), ("k", ks)],
-                               lambda: ps(ad.conv2d(xs, ks, stride=2, pad=1)))
-
-    xb = _param(rng, 4, 3, 3, 3)
-    gam = ad.Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True, dtype=np.float64)
-    bet = _param(rng, 3)
-    pb = _project(rng, (4, 3, 3, 3))
-    cases["batch_norm_train"] = (
-        [("x", xb), ("gamma", gam), ("beta", bet)],
-        lambda: pb(ad.batch_norm(xb, gam, bet, mode="train", stats=None)))
-
-    xe = _param(rng, 2, 3, 3, 3)
-    game = ad.Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True, dtype=np.float64)
-    bete = _param(rng, 3)
+    cases["dense"] = _case(rng, ad.dense, x=_param(rng, 3, 4), w=_param(rng, 4, 2),
+                           b=_param(rng, 2))
+    cases["conv2d"] = _case(rng, conv(1, 0), x=_param(rng, 1, 2, 5, 5),
+                            k=_param(rng, 3, 2, 3, 3))
+    cases["conv2d_strided"] = _case(rng, conv(2, 1), x=_param(rng, 2, 2, 6, 6),
+                                    k=_param(rng, 2, 2, 3, 3))
+    cases["batch_norm_train"] = _case(
+        rng, lambda x, g, b: ad.batch_norm(x, g, b, mode="train", stats=None),
+        x=_param(rng, 4, 3, 3, 3), gamma=gamma(), beta=_param(rng, 3))
+    xe, game, bete = _param(rng, 2, 3, 3, 3), gamma(), _param(rng, 3)
     stats = ad.RunningStats(3, dtype=np.float64)
     stats.mean = rng.standard_normal(3)
     stats.var = rng.uniform(0.5, 2.0, 3)
-    pe = _project(rng, (2, 3, 3, 3))
-    cases["batch_norm_eval"] = (
-        [("x", xe), ("gamma", game), ("beta", bete)],
-        lambda: pe(ad.batch_norm(xe, game, bete, mode="eval", stats=stats)))
+    cases["batch_norm_eval"] = _case(
+        rng, lambda x, g, b: ad.batch_norm(x, g, b, mode="eval", stats=stats),
+        x=xe, gamma=game, beta=bete)
+    xr = _param(rng, 4, 7)
+    xr.data += np.where(xr.data >= 0, 0.05, -0.05)   # away from the kink
+    cases["relu"] = _case(rng, ad.relu, x=xr)
+    cases["max_pool"] = _case(rng, lambda x: ad.pool(x, "max", window=2, stride=2),
+                              x=_param(rng, 2, 2, 6, 6))
+    cases["global_avg_pool"] = _case(rng, lambda x: ad.pool(x, "avg", window=4),
+                                     x=_param(rng, 2, 3, 4, 4))
+    cases["add"] = _case(rng, ad.add, a=_param(rng, 3, 5), b=_param(rng, 3, 5))
+    cases["softmax"] = _case(rng, ad.softmax, z=_param(rng, 4, 5))
+    cases["pad2d"] = _case(rng, lambda x: ad.pad2d(x, 2), x=_param(rng, 1, 2, 3, 3))
 
-    xr = _away_from_kink(_param(rng, 4, 7))
-    pr = _project(rng, (4, 7))
-    cases["relu"] = ([("x", xr)], lambda: pr(ad.relu(xr)))
-
-    xm = _param(rng, 2, 2, 6, 6)
-    pm = _project(rng, (2, 2, 3, 3))
-    cases["max_pool"] = ([("x", xm)],
-                         lambda: pm(ad.pool(xm, "max", window=2, stride=2)))
-
-    xg = _param(rng, 2, 3, 4, 4)
-    pg = _project(rng, (2, 3, 1, 1))
-    cases["global_avg_pool"] = ([("x", xg)],
-                                lambda: pg(ad.pool(xg, "avg", window=4)))
-
-    aa = _param(rng, 3, 5)
-    bb = _param(rng, 3, 5)
-    pad_add = _project(rng, (3, 5))
-    cases["add"] = ([("a", aa), ("b", bb)], lambda: pad_add(ad.add(aa, bb)))
-
-    zz = _param(rng, 4, 5)
-    pz = _project(rng, (4, 5))
-    cases["softmax"] = ([("z", zz)], lambda: pz(ad.softmax(zz)))
-
-    xp = _param(rng, 1, 2, 3, 3)
-    pp = _project(rng, (1, 2, 7, 7))
-    cases["pad2d"] = ([("x", xp)], lambda: pp(ad.pad2d(xp, 2)))
-
-    ze = _param(rng, 3, 5)
-    te = rng.dirichlet(np.ones(5), size=3)
-    cases["euclidean_graph"] = ([("z", ze)],
-                                lambda: ldl.euclidean_loss_graph(ad.softmax(ze), te))
-
-    zq = _param(rng, 3, 5)
-    tq = rng.dirichlet(np.ones(5), size=3)
-    cases["euclidean_sq_graph"] = ([("z", zq)],
-                                   lambda: ldl.euclidean_loss_graph(ad.softmax(zq), tq, squared=True))
-
-    zk = _param(rng, 3, 5)
-    tk = rng.dirichlet(np.ones(5), size=3)
-    cases["kl_graph"] = ([("z", zk)], lambda: ldl.kl_loss_graph(ad.softmax(zk), tk))
+    ze, te = _param(rng, 3, 5), rng.dirichlet(np.ones(5), size=3)
+    cases["euclidean_graph"] = _case(
+        rng, lambda z: ldl.euclidean_loss_graph(ad.softmax(z), te), z=ze)
+    zq, tq = _param(rng, 3, 5), rng.dirichlet(np.ones(5), size=3)
+    cases["euclidean_sq_graph"] = _case(
+        rng, lambda z: ldl.euclidean_loss_graph(ad.softmax(z), tq, squared=True), z=zq)
+    zk, tk = _param(rng, 3, 5), rng.dirichlet(np.ones(5), size=3)
+    cases["kl_graph"] = _case(rng, lambda z: ldl.kl_loss_graph(ad.softmax(z), tk), z=zk)
 
     # last, so the cases above keep their random draws
-    xq = _param(rng, 2, 3, 6, 6)
-    kq = _param(rng, 4, 3, 1, 1)
-    pq = _project(rng, (2, 4, 3, 3))
-    cases["conv2d_pointwise"] = ([("x", xq), ("k", kq)],
-                                 lambda: pq(ad.conv2d(xq, kq, stride=2, pad=0)))
-
+    cases["conv2d_pointwise"] = _case(rng, conv(2, 0), x=_param(rng, 2, 3, 6, 6),
+                                      k=_param(rng, 4, 3, 1, 1))
     # the network's commonest conv: its dK and dX come from the padded gradient's rows
-    xd = _param(rng, 1, 2, 5, 5)
-    kd = _param(rng, 3, 2, 3, 3)
-    pdd = _project(rng, (1, 3, 5, 5))
-    cases["conv2d_padded"] = ([("x", xd), ("k", kd)],
-                              lambda: pdd(ad.conv2d(xd, kd, stride=1, pad=1)))
-
+    cases["conv2d_padded"] = _case(rng, conv(1, 1), x=_param(rng, 1, 2, 5, 5),
+                                   k=_param(rng, 3, 2, 3, 3))
     return cases
 
 

@@ -348,6 +348,7 @@ def init_weights(network, seed):
     Fully reproducible: parameters are drawn in registry order from a single
     generator seeded with ``seed``.
     """
+    ad._integer("init_weights", "seed", seed, 0)
     rng = np.random.default_rng(seed)
     for rec in network.param_records():
         t = rec.tensor

@@ -666,7 +666,44 @@ class TestGradientGating:
         assert peaks[False] < xs.nbytes <= peaks[True], peaks
 
 
+SUITE_CASES = ["dense", "conv2d", "conv2d_strided", "batch_norm_train", "batch_norm_eval",
+               "relu", "max_pool", "global_avg_pool", "add", "softmax", "pad2d",
+               "euclidean_graph", "euclidean_sq_graph", "kl_graph", "conv2d_pointwise",
+               "conv2d_padded"]
+# the suite's cases that call each network op
+CASES_OF_OP = {
+    "dense": {"dense"},
+    "conv2d": {"conv2d", "conv2d_strided", "conv2d_pointwise", "conv2d_padded"},
+    "batch_norm": {"batch_norm_train", "batch_norm_eval"},
+    "relu": {"relu"},
+    "pool": {"max_pool", "global_avg_pool"},
+    "add": {"add"},
+    "softmax": {"softmax", "euclidean_graph", "euclidean_sq_graph", "kl_graph"},
+    "pad2d": {"pad2d"},
+}
+
+
 class TestGradCheckHarness:
+    def test_suite_checks_every_case(self):
+        worst, passed = gradient_suite(num_seeds=1)
+        assert list(worst) == SUITE_CASES and passed, worst
+
+    @pytest.mark.parametrize("op", list(CASES_OF_OP))
+    def test_suite_fails_every_case_of_a_wrong_backward(self, monkeypatch, op):
+        right = getattr(ad, op)
+
+        def scaled_backward(*args, **kwargs):
+            out = right(*args, **kwargs)
+            backward = out._backward
+            if backward is not None:
+                out._backward = lambda g: backward(1.05 * g)
+            return out
+
+        monkeypatch.setattr(ad, op, scaled_backward)
+        worst, passed = gradient_suite(num_seeds=1, tol=1e-5)
+        assert not passed
+        assert {name for name, err in worst.items() if err > 1e-5} == CASES_OF_OP[op], worst
+
     @pytest.mark.parametrize("num_seeds", [0, -2, 1.0])
     def test_suite_without_a_draw_is_refused(self, num_seeds):
         # no draw would check no op and still pass
@@ -711,6 +748,12 @@ class TestGradCheckHarness:
     def test_zero_parameter_graph_passes_trivially(self):
         rep = grad_check([], lambda: ad.tsum(t64([1.0])), eps=1e-6, tol=1e-6)
         assert rep.passed and rep.params == [] and rep.max_rel_err == 0.0
+
+    def test_parameter_without_grad_is_refused(self):
+        # its analytic gradient would read as zero, like a wrong backward
+        w = t64(np.ones(3))
+        with pytest.raises(ConfigurationError, match="w does not require grad"):
+            grad_check([("w", w)], lambda: ad.tsum(ad.mul(w, w)), eps=1e-6, tol=1e-6)
 
     def test_requires_float64(self):
         w = ad.Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)

@@ -383,7 +383,9 @@ class TestExitCodes:
         # refused before it reaches numpy, which raises a raw ValueError
         argv = [a.format(tmp=tmp_path) for a in args] + ["--seed", "-1"]
         assert main(argv) == 1
-        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "seed must be >= 0, got -1" in captured.err
+        assert "op " not in captured.out   # refused before any gradient check runs
         assert list(tmp_path.iterdir()) == []
 
 

@@ -168,6 +168,13 @@ class TestAugmentAndExpand:
         for sa, sb in zip(a.samples, b.samples):
             assert np.array_equal(sa.image, sb.image)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_expand_refuses_a_bad_seed(self, seed):
+        # refused before it reaches numpy, which raises a raw ValueError or TypeError
+        ds = split(synth_dataset(4, raters=3, seed=0, image_size=16), counts=(2, 2), seed=0)
+        with pytest.raises(ConfigurationError, match="expand seed"):
+            expand(ds, 2, seed=seed)
+
 
 class TestSplit:
     def test_protocol_counts(self):
@@ -191,6 +198,12 @@ class TestSplit:
         ds = synth_dataset(10, raters=3, seed=7, image_size=16)
         with pytest.raises(ConfigurationError):
             split(ds, counts=(9, 2))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_is_refused(self, seed):
+        ds = synth_dataset(6, raters=3, seed=8, image_size=16)
+        with pytest.raises(ConfigurationError, match="split seed"):
+            split(ds, train_fraction=0.5, seed=seed)
 
 
 class TestPpm:

@@ -170,6 +170,11 @@ class TestInitWeights:
         assert any(not np.array_equal(ta.data, tb.data)
                    for (_, ta), (_, tb) in zip(a.named_parameters(), b.named_parameters()))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_bad_seed_is_refused(self, seed):
+        with pytest.raises(ConfigurationError, match="init_weights seed"):
+            init_weights(Network(TOY), seed)
+
     def test_he_std_on_dense_weight(self):
         from ldlnet.network import DenseUnit, ParamRecord
 
