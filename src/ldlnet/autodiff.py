@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BatchSizeError, ConfigurationError, DimensionError
+from .errors import BatchSizeError, ConfigurationError, DimensionError, _integer
 
 _grad_enabled = True
+BN_EPS = 1e-5   # added to the variance under batch norm's square root
 
 
 class no_grad:
@@ -132,40 +133,22 @@ def _consumed(g):
     ``Tensor.backward`` refuses any graph that reaches it."""
 
 
-def _accum(t, g):
-    t.grad = g if t.grad is None else t.grad + g
-
-
-def _integer(op, name, value, least=None):
-    """``value`` as an int no smaller than ``least`` (when given);
-    ConfigurationError for anything else, a bool or a whole-valued float
-    included."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigurationError(f"{op} {name} must be an integer, got {value!r}")
-    if least is not None and value < least:
-        raise ConfigurationError(f"{op} {name} must be >= {least}, got {value}")
-    return int(value)
-
-
-def _wire(out, parents, bwd):
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        out._parents = tuple(parents)
-        out._backward = bwd
-        out.requires_grad = True
-    return out
-
-
 def _node(value, op, parents, vjp):
     """The Tensor ``value`` that ``op`` made from ``parents``, wired to the
     tape with a backward that adds ``vjp(g)``'s gradients into the parents
     that require grad. The vjp's scratch arrays are freed before any
     gradient is added."""
-    def bwd(g):
-        for p, dp in zip(parents, vjp(g)):
-            if dp is not None and p.requires_grad:
-                _accum(p, dp)
+    out = Tensor(value, op=op)
+    if _grad_enabled and any(p.requires_grad for p in parents):
+        def bwd(g):
+            for p, dp in zip(parents, vjp(g)):
+                if dp is not None and p.requires_grad:
+                    p.grad = dp if p.grad is None else p.grad + dp
 
-    return _wire(Tensor(value, op=op), parents, bwd)
+        out._parents = tuple(parents)
+        out._backward = bwd
+        out.requires_grad = True
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +336,7 @@ class RunningStats:
         self.var = np.ones_like(self.var)
 
 
-def batch_norm(x, gamma, beta, mode="train", stats=None, eps=1e-5):
+def batch_norm(x, gamma, beta, mode="train", stats=None):
     """Per-channel normalization of x:(N,C,H,W); one forward and one
     backward serve both modes.
 
@@ -363,7 +346,7 @@ def batch_norm(x, gamma, beta, mode="train", stats=None, eps=1e-5):
     normalizes with ``stats.mean``/``stats.var``.
 
     Both directions work from per-channel sums over an (N, C, H*W) view.
-    With ``inv`` = 1/sqrt(var + eps) and s = gamma*inv, the output is
+    With ``inv`` = 1/sqrt(var + BN_EPS) and s = gamma*inv, the output is
     (x - mu)*s + beta. The tape keeps only x and the per-channel mu and
     ``inv`` of the forward, so later changes to ``stats`` do not reach the
     backward. The backward takes sum(g) and sum(g*x) in one pass each and
@@ -396,7 +379,7 @@ def batch_norm(x, gamma, beta, mode="train", stats=None, eps=1e-5):
         var = stats.var.astype(x.dtype)
     else:
         raise ConfigurationError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     s = gamma.data * inv
     if mode == "train":
         out *= s[:, None]

@@ -35,6 +35,7 @@ from .errors import (
     NumericalError,
     UndefinedCorrelationError,
     ValidationError,
+    _integer,
 )
 
 
@@ -204,10 +205,10 @@ def _print_config(args):
             print(f"{key} = {value}")
 
 
-def _parse_int_tuple(text, what, n=4):
+def _parse_int_tuple(text, what):
     parts = str(text).replace(";", ",").split(",")
-    if len(parts) != n:
-        raise UsageError(f"{what} needs {n} comma-separated integers, got {text!r}")
+    if len(parts) != 4:
+        raise UsageError(f"{what} needs 4 comma-separated integers, got {text!r}")
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
@@ -352,7 +353,6 @@ def _run_predict(cmd):
 
 
 def _run_gradcheck(cmd):
-    from .autodiff import _integer
     from .gradcheck import end_to_end_check, gradient_suite
 
     _integer("end_to_end_check", "seed", cmd.seed, 0)   # before the suite's work

@@ -17,9 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import _integer
 from .distributions import ScoreScale, distribution_from_ratings, validate_distribution, weighted_mean
-from .errors import ConfigurationError, DatasetError, ValidationError
+from .errors import ConfigurationError, DatasetError, ValidationError, _integer
 from .imageio import read_image, write_ppm
 from .imaging import ColorPCA, adjust_contrast, normalize_image, pca_color_shift, rotate_image
 
@@ -54,8 +53,10 @@ def split(dataset, train_fraction=None, counts=None, seed=0):
     _integer("split", "seed", seed, 0)
     n = dataset.n
     if counts is not None:
-        tr, te = int(counts[0]), int(counts[1])
-        if tr < 0 or te < 0 or tr + te > n:
+        if not isinstance(counts, (tuple, list)) or len(counts) != 2:
+            raise ConfigurationError(f"split counts must be a (train, test) pair, got {counts!r}")
+        tr, te = (_integer("split", "counts", c, 0) for c in counts)
+        if tr + te > n:
             raise ConfigurationError(f"split counts {counts} exceed dataset size {n}")
     elif train_fraction is not None:
         if not 0.0 < train_fraction < 1.0:
@@ -103,8 +104,7 @@ def _child_seed(seed, i, j):
 def expand(dataset, factor, seed=0):
     """Each train sample plus (factor - 1) augmented copies; test split untouched."""
     _integer("expand", "seed", seed, 0)
-    if factor < 1:
-        raise ConfigurationError(f"expand factor must be >= 1, got {factor}")
+    factor = _integer("expand", "factor", factor, 1)
     if factor == 1:
         return dataset
     pca = ColorPCA.fit([dataset.samples[i].image for i in dataset.train_idx])

@@ -25,6 +25,7 @@ from .errors import (
 
 LOSS_KINDS = ("euclidean", "euclidean_sq", "kl")
 KL_CLAMP = 1e-7        # floor on predicted probabilities inside the log
+DIST_SUM_TOL = 1e-6    # how far a distribution's sum may stray from 1
 EUCLIDEAN_EPS = 1e-12  # added under the square root to keep the gradient finite at zero
 
 
@@ -50,15 +51,16 @@ class ScoreScale:
         return np.asarray(self.labels, dtype=np.float64)
 
 
-def validate_distribution(degrees, tol=1e-6):
-    """Check the score-distribution invariants: entries in [0,1], sum 1 within tol."""
+def validate_distribution(degrees):
+    """Check the score-distribution invariants: entries in [0,1], sum 1 within
+    DIST_SUM_TOL."""
     d = np.asarray(degrees, dtype=np.float64)
     if d.ndim != 1:
         raise ValidationError(f"a distribution must be a vector, got shape {d.shape}")
     if not np.all((d >= 0) & (d <= 1)):   # NaN fails both
         raise ValidationError(f"distribution degrees must lie in [0,1], got {d}")
     s = float(d.sum())
-    if abs(s - 1.0) > tol:
+    if abs(s - 1.0) > DIST_SUM_TOL:
         raise ValidationError(f"distribution degrees must sum to 1, got sum {s}")
     return d
 
@@ -115,11 +117,11 @@ def euclidean_loss(pred, target, squared=False):
     return _per_row(0.5 * sse if squared else np.sqrt(sse))
 
 
-def kl_loss(target, pred, clamp=KL_CLAMP):
+def kl_loss(target, pred):
     """KL divergence sum_j d_j ln(d_j / f_j) along the last axis, with 0 ln 0 = 0
-    and f clamped to >= clamp; a float per pair of vectors, one value per row."""
+    and f clamped to >= KL_CLAMP; a float per pair of vectors, one value per row."""
     d, f = _paired(target, pred, "kl_loss")
-    f = np.maximum(f, clamp)
+    f = np.maximum(f, KL_CLAMP)
     mask = d > 0
     ratio = np.divide(d, f, out=np.ones_like(d), where=mask)
     return _per_row(np.where(mask, d * np.log(ratio), 0.0).sum(axis=-1))
@@ -180,14 +182,15 @@ def euclidean_loss_graph(pred, targets, squared=False):
     return ad.tsum(ad.sqrt_(ad.add_scalar(per_sample, EUCLIDEAN_EPS)))
 
 
-def kl_loss_graph(pred, targets, clamp=KL_CLAMP):
-    """Batch loss: sum over samples of KL(target || pred) on the tape."""
+def kl_loss_graph(pred, targets):
+    """Batch loss: sum over samples of KL(target || pred) on the tape, with
+    pred clamped to >= KL_CLAMP."""
     d = np.asarray(targets, dtype=pred.dtype)
     if pred.shape != d.shape:
         raise DimensionError(f"loss shape mismatch: pred {pred.shape} vs targets {d.shape}")
     mask = d > 0
     entropy = float((d[mask] * np.log(d[mask])).sum())
-    log_pred = ad.log_(ad.clamp_min(pred, clamp))
+    log_pred = ad.log_(ad.clamp_min(pred, KL_CLAMP))
     cross = ad.tsum(ad.mul_const(log_pred, d))
     return ad.add_scalar(ad.scale(cross, -1.0), entropy)
 

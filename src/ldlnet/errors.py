@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check
+every entry point uses."""
+
+import numbers
 
 
 class LdlError(Exception):
@@ -12,6 +15,17 @@ class DimensionError(LdlError):
 class ConfigurationError(LdlError):
     """A parameter combination or call is invalid (non-positive output size, bad split
     counts, a second backward through a consumed tape, ...)."""
+
+
+def _integer(op, name, value, least=None):
+    """``value`` as an int no smaller than ``least`` (when given);
+    ConfigurationError for anything else, a bool or a whole-valued float
+    included."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{op} {name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigurationError(f"{op} {name} must be >= {least}, got {value}")
+    return int(value)
 
 
 class RangeError(LdlError):

@@ -13,10 +13,11 @@ import numpy as np
 
 from . import autodiff as ad
 from . import distributions as ldl
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 
 REL_ERR_FLOOR = 1e-8   # denominator floor when the numeric gradient is tiny
 ABS_SKIP = 1e-10       # treat |analytic - numeric| below this as exact
+E2E_PER_PARAM = 8      # entries end_to_end_check probes in each parameter tensor
 
 
 @dataclass
@@ -198,17 +199,18 @@ def _op_cases(rng):
     return cases
 
 
-def gradient_suite(num_seeds=50, eps=1e-5, tol=1e-5):
-    """Run every op case over ``num_seeds`` random draws.
+def gradient_suite(num_seeds=50, tol=1e-5):
+    """Run every op case over ``num_seeds`` random draws, each with
+    :func:`grad_check`'s default step eps = 1e-5.
 
     Returns (per-op max rel err dict, passed flag).
     """
-    ad._integer("gradient_suite", "num_seeds", num_seeds, 1)
+    _integer("gradient_suite", "num_seeds", num_seeds, 1)
     worst = {}
     for s in range(num_seeds):
         rng = np.random.default_rng(1000 + s)
         for name, (params, loss_fn) in _op_cases(rng).items():
-            rep = grad_check(params, loss_fn, eps=eps, tol=tol)
+            rep = grad_check(params, loss_fn, tol=tol)
             if rep.failure:
                 worst[name] = float("inf")
                 continue
@@ -217,17 +219,18 @@ def gradient_suite(num_seeds=50, eps=1e-5, tol=1e-5):
     return worst, passed
 
 
-def end_to_end_check(seed=0, eps=1e-5, tol=1e-4, max_per_param=8):
+def end_to_end_check(seed=0, tol=1e-4):
     """Finite-difference check of a full toy network (< 10k parameters).
 
     Builds a float64 four-stage residual net, runs a train-mode forward into
-    the unsquared distribution loss, and probes a sampled subset of every
-    parameter tensor. Smaller eps is counterproductive here: deep-layer
+    the unsquared distribution loss, and probes E2E_PER_PARAM sampled
+    entries of every parameter tensor with :func:`grad_check`'s default step
+    eps = 1e-5. A smaller step is counterproductive here: deep-layer
     elements carry tiny gradients, and secant roundoff swamps them.
     """
     from .network import Network, NetworkSpec, init_weights
 
-    ad._integer("end_to_end_check", "seed", seed, 0)
+    _integer("end_to_end_check", "seed", seed, 0)
     spec = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
                        input_size=16)
     net = Network(spec, dtype=np.float64)
@@ -240,6 +243,6 @@ def end_to_end_check(seed=0, eps=1e-5, tol=1e-4, max_per_param=8):
         out = net.forward(ad.Tensor(batch, dtype=np.float64), mode="train")
         return ldl.euclidean_loss_graph(out.distribution, targets)
 
-    report = grad_check(net.named_parameters(), loss_fn, eps=eps, tol=tol,
-                        max_per_param=max_per_param, seed=seed)
+    report = grad_check(net.named_parameters(), loss_fn, tol=tol,
+                        max_per_param=E2E_PER_PARAM, seed=seed)
     return report, net.parameter_count()

@@ -10,13 +10,12 @@ convolutions with every shortcut removed.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, _integer
 
 # main-path (conv, BN) units of each block kind: (kernel, width as a multiple
 # of the stage width, whether the unit takes the block's stride)
@@ -26,10 +25,6 @@ BLOCK_LAYOUTS = {
 }
 # initial gamma of the last batch norm in each residual branch (skip nets only)
 BRANCH_END_GAMMA = 0.1
-
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -51,10 +46,9 @@ class NetworkSpec:
     def __post_init__(self):
         for name in ("block_counts", "stage_widths"):
             value = getattr(self, name)
-            entries = tuple(value) if isinstance(value, (tuple, list)) else ()
-            if len(entries) != 4 or not all(_is_int(n) and n >= 1 for n in entries):
+            if not isinstance(value, (tuple, list)) or len(value) != 4:
                 raise ConfigurationError(f"{name} must be 4 integers >= 1, got {value!r}")
-            object.__setattr__(self, name, tuple(int(n) for n in entries))
+            object.__setattr__(self, name, tuple(_integer("NetworkSpec", name, n, 1) for n in value))
         if not isinstance(self.block_kind, str) or self.block_kind not in BLOCK_LAYOUTS:
             raise ConfigurationError(
                 f"block_kind must be one of {tuple(BLOCK_LAYOUTS)}, got {self.block_kind!r}")
@@ -63,10 +57,8 @@ class NetworkSpec:
                 f"skip_connections must be a bool, got {self.skip_connections!r}")
         for name in ("input_size", "num_labels", "stem_kernel", "stem_stride",
                      "stem_pool_window", "stem_pool_stride", "stem_pool_pad"):
-            value, low = getattr(self, name), 0 if name == "stem_pool_pad" else 1
-            if not _is_int(value) or value < low:
-                raise ConfigurationError(f"{name} must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            low = 0 if name == "stem_pool_pad" else 1
+            object.__setattr__(self, name, _integer("NetworkSpec", name, getattr(self, name), low))
 
     def weighted_layer_count(self):
         """Main-path conv layers plus stem conv plus the dense head."""
@@ -348,7 +340,7 @@ def init_weights(network, seed):
     Fully reproducible: parameters are drawn in registry order from a single
     generator seeded with ``seed``.
     """
-    ad._integer("init_weights", "seed", seed, 0)
+    _integer("init_weights", "seed", seed, 0)
     rng = np.random.default_rng(seed)
     for rec in network.param_records():
         t = rec.tensor

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import _integer
 from .data import Dataset, Sample
 from .distributions import ScoreScale, distribution_from_ratings, weighted_mean
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _integer
 
 INK = 0.08          # feature darkness
 BACKGROUND = 0.92   # canvas brightness
@@ -89,12 +88,9 @@ def synth_dataset(n, raters=70, noise_sd=0.4, bimodal_fraction=0.1, seed=0, imag
     The returned dataset has every sample in the train split; apply
     :func:`ldlnet.data.split` for a held-out protocol.
     """
-    if n < 2:
-        raise ConfigurationError(f"synth_dataset needs n >= 2, got {n}")
-    if raters < 1:
-        raise ConfigurationError(f"synth_dataset needs raters >= 1, got {raters}")
-    if image_size < 16:
-        raise ConfigurationError(f"synth_dataset needs image_size >= 16, got {image_size}")
+    n = _integer("synth_dataset", "n", n, 2)
+    raters = _integer("synth_dataset", "raters", raters, 1)
+    image_size = _integer("synth_dataset", "image_size", image_size, 16)
     if not 0 <= noise_sd < np.inf:
         raise ConfigurationError(f"noise_sd must be finite and >= 0, got {noise_sd}")
     if not 0.0 <= bimodal_fraction <= 1.0:

@@ -36,7 +36,7 @@ from .distributions import (
     kl_loss,
     pearson,
 )
-from .errors import ConfigurationError, NumericalError, UndefinedCorrelationError
+from .errors import ConfigurationError, NumericalError, UndefinedCorrelationError, _integer
 from .network import Network, init_weights
 
 
@@ -58,8 +58,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("batch_size", "lr_step", "max_iter", "augment_factor", "eval_every"):
-            ad._integer("TrainConfig", name, getattr(self, name))
-        ad._integer("TrainConfig", "seed", self.seed, 0)
+            _integer("TrainConfig", name, getattr(self, name))
+        _integer("TrainConfig", "seed", self.seed, 0)
         if self.batch_size < 2:
             raise ConfigurationError(f"batch_size must be >= 2 (batch norm), got {self.batch_size}")
         for name in ("base_lr", "lr_step", "max_iter", "last_layer_lr_mult",
@@ -218,12 +218,12 @@ def recompute_bn_stats(net, dataset, indices, batch_size):
         s.var = (var / len(indices)).astype(s.var.dtype)
 
 
-def evaluate(net, dataset, indices, loss_kind="euclidean", batch_size=64):
+def evaluate(net, dataset, indices, loss_kind="euclidean"):
     """Eval-mode metrics over one split: PC, mean KL, mean Chebyshev, mean loss,
     and the predicted distributions they were computed from."""
     if not indices:
         raise ConfigurationError("evaluate needs a non-empty split")
-    preds = predict_distributions(net, dataset, indices, batch_size)
+    preds = predict_distributions(net, dataset, indices)
     if preds.shape[1] != len(dataset.scale):
         raise ConfigurationError(
             f"network predicts {preds.shape[1]} levels, score scale has {len(dataset.scale)}")

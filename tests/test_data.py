@@ -175,6 +175,13 @@ class TestAugmentAndExpand:
         with pytest.raises(ConfigurationError, match="expand seed"):
             expand(ds, 2, seed=seed)
 
+    @pytest.mark.parametrize("factor", [0, 2.5, True])
+    def test_expand_refuses_a_bad_factor(self, factor):
+        # 2.5 reached range() as a raw TypeError
+        ds = split(synth_dataset(4, raters=3, seed=0, image_size=16), counts=(2, 2), seed=0)
+        with pytest.raises(ConfigurationError, match="expand factor"):
+            expand(ds, factor)
+
 
 class TestSplit:
     def test_protocol_counts(self):
@@ -198,6 +205,14 @@ class TestSplit:
         ds = synth_dataset(10, raters=3, seed=7, image_size=16)
         with pytest.raises(ConfigurationError):
             split(ds, counts=(9, 2))
+
+    @pytest.mark.parametrize("counts", [(2.7, 1.9), (3, 2.0), (True, 1), (-1, 2),
+                                        (3,), (2, 2, 2), 5, "32"])
+    def test_malformed_counts_are_refused(self, counts):
+        # (2.7, 1.9) was truncated to a 2/1 split, (3,) raised a raw IndexError
+        ds = synth_dataset(6, raters=3, seed=8, image_size=16)
+        with pytest.raises(ConfigurationError, match="split counts"):
+            split(ds, counts=counts)
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_bad_seed_is_refused(self, seed):

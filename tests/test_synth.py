@@ -102,6 +102,9 @@ class TestSynthDataset:
         dict(n=10, bimodal_fraction=1.5),
         dict(n=10, seed=-1),
         dict(n=10, seed=1.5),
+        dict(n=4.5),                  # was a raw TypeError
+        dict(n=10, raters=2.5),       # was a raw TypeError
+        dict(n=10, image_size=16.5),  # drew 17x17 images
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ConfigurationError):
