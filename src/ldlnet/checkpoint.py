@@ -23,7 +23,6 @@ names.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
@@ -105,15 +104,13 @@ def _count(header, key):
 
 
 def _labels(header, spec):
-    """The header's optional ``labels``: a JSON list of finite numbers (not
-    bools) that makes a ScoreScale, one label per output of a distribution
-    head."""
+    """The header's optional ``labels``: a JSON list of numbers (not bools)
+    that makes a ScoreScale, one label per output of a distribution head."""
     if "labels" not in header:
         return None
     value = header["labels"]
-    if type(value) is not list or any(
-            type(v) not in (int, float) or not math.isfinite(v) for v in value):
-        raise CheckpointError(f"header labels must be a list of finite numbers, got {value!r}")
+    if type(value) is not list or any(type(v) not in (int, float) for v in value):
+        raise CheckpointError(f"header labels must be a list of numbers, got {value!r}")
     try:
         labels = ScoreScale(value).labels
     except ValidationError as exc:

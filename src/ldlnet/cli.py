@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Verbs: synth, train, eval, predict, gradcheck, export. Options resolve as
+Verbs: synth, train, eval, predict, gradcheck, export; each is one row of
+``_VERBS``: its help line, its runner and its options. Options resolve as
 defaults < config file < flags, and every run prints the resolved
 configuration before acting. A config file (--config) holds key=value lines
 and # comments; each value is written as its flag's value and converted by
@@ -25,7 +26,11 @@ import argparse
 import os
 import sys
 
-from .distributions import LOSS_KINDS
+import numpy as np
+
+from . import autodiff as ad
+from . import checkpoint, data, gradcheck, imageio, imaging, synth, training
+from .distributions import LOSS_KINDS, weighted_mean
 from .errors import (
     CheckpointError,
     ConfigurationError,
@@ -37,6 +42,8 @@ from .errors import (
     ValidationError,
     _integer,
 )
+from .network import BLOCK_LAYOUTS, Network, NetworkSpec
+from .training import TrainConfig
 
 
 class UsageError(Exception):
@@ -55,75 +62,32 @@ _SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 # option -> (kind, default, help); a kind is a type, a tuple of choices, or
 # bool for a switch
 _SPEC_OPTS = {
-    "blocks": (str, "1,1,1,1", "block counts n1,n2,n3,n4"),
-    "widths": (str, "8,16,32,64", "stage widths w1,w2,w3,w4"),
-    "block_kind": (("basic", "bottleneck"), "basic", "residual block kind"),
+    "blocks": (str, ",".join(map(str, NetworkSpec.block_counts)), "block counts n1,n2,n3,n4"),
+    "widths": (str, ",".join(map(str, NetworkSpec.stage_widths)), "stage widths w1,w2,w3,w4"),
+    "block_kind": (tuple(BLOCK_LAYOUTS), NetworkSpec.block_kind, "residual block kind"),
     "no_skip": (bool, False, "disable the shortcut connections (plain network)"),
-    "input_size": (int, 32, "square network input side"),
+    "input_size": (int, NetworkSpec.input_size, "square network input side"),
 }
 
 _TRAIN_OPTS = {
-    "batch": (int, 32, "mini-batch size"),
-    "lr": (float, 0.001, "base learning rate"),
-    "lr_step": (int, 4000, "iterations per learning-rate step"),
-    "lr_factor": (float, 0.1, "learning-rate decay factor per step"),
-    "iters": (int, 17000, "total training iterations"),
-    "weight_decay": (float, 0.0005, "L2 weight decay"),
-    "momentum": (float, 0.9, "SGD momentum"),
-    "last_lr_mult": (float, 10.0, "learning-rate multiplier for the final layer"),
-    "last_decay_mult": (float, 100.0, "weight-decay multiplier for the final layer"),
-    "loss": (LOSS_KINDS, "euclidean", "training loss"),
-    "augment_factor": (int, 1, "train-split expansion factor"),
-    "eval_every": (int, 500, "iterations between metric evaluations"),
+    "batch": (int, TrainConfig.batch_size, "mini-batch size"),
+    "lr": (float, TrainConfig.base_lr, "base learning rate"),
+    "lr_step": (int, TrainConfig.lr_step, "iterations per learning-rate step"),
+    "lr_factor": (float, TrainConfig.lr_factor, "learning-rate decay factor per step"),
+    "iters": (int, TrainConfig.max_iter, "total training iterations"),
+    "weight_decay": (float, TrainConfig.weight_decay, "L2 weight decay"),
+    "momentum": (float, TrainConfig.momentum, "SGD momentum"),
+    "last_lr_mult": (float, TrainConfig.last_layer_lr_mult,
+                     "learning-rate multiplier for the final layer"),
+    "last_decay_mult": (float, TrainConfig.last_layer_decay_mult,
+                        "weight-decay multiplier for the final layer"),
+    "loss": (LOSS_KINDS, TrainConfig.loss, "training loss"),
+    "augment_factor": (int, TrainConfig.augment_factor, "train-split expansion factor"),
+    "eval_every": (int, TrainConfig.eval_every, "iterations between metric evaluations"),
     "train_frac": (float, 0.8, "train fraction when counts are not given"),
     "train_count": (int, None, "explicit train split size"),
     "test_count": (int, None, "explicit test split size"),
 }
-
-# verb -> (help line, options)
-_VERBS = {
-    "synth": ("generate a synthetic rated-face dataset (index + PPM images)", {
-        "n": (int, 500, "number of faces"),
-        "raters": (int, 70, "raters per face"),
-        "noise_sd": (float, 0.4, "rater noise standard deviation"),
-        "bimodal_fraction": (float, 0.1, "fraction of controversial faces"),
-        "image_size": (int, 32, "rendered image side"),
-        "out": (str, REQUIRED, "output index path"),
-        "seed": (int, 0, "random seed"),
-    }),
-    "train": ("train a network on a dataset index, writing checkpoint + metrics CSV", {
-        "data": (str, REQUIRED, "dataset index path"),
-        "out": (str, REQUIRED, "output checkpoint path"),
-        "metrics": (str, None, "metrics CSV path (default <out>.metrics.csv)"),
-        "seed": (int, 0, "random seed"),
-        **_TRAIN_OPTS,
-        **_SPEC_OPTS,
-    }),
-    "eval": ("evaluate a checkpoint: PC, mean KL, mean Chebyshev, per-sample CSV", {
-        "data": (str, REQUIRED, "dataset index path"),
-        "ckpt": (str, REQUIRED, "checkpoint path"),
-        "out": (str, None, "optional per-sample CSV path"),
-        "loss": (LOSS_KINDS, "euclidean", "loss column to report"),
-    }),
-    "predict": ("predict the score distribution and weighted mean for one image", {
-        "ckpt": (str, REQUIRED, "checkpoint path"),
-        "image": (str, REQUIRED, "image path, PPM or PNG"),
-        "crop": (str, None, "face crop box x0,y0,x1,y1"),
-    }),
-    "gradcheck": ("run the finite-difference gradient suite (nonzero exit on failure)", {
-        "seeds": (int, 50, "random draws per op"),
-        "tol": (float, 1e-5, "per-op relative-error tolerance"),
-        "e2e_tol": (float, 1e-4, "end-to-end relative-error tolerance"),
-        "seed": (int, 0, "random seed"),
-    }),
-    "export": ("rewrite a checkpoint or dataset in the current format", {
-        "kind": (("checkpoint", "dataset"), REQUIRED, "what to convert"),
-        "src": (str, REQUIRED, "input path"),
-        "out": (str, REQUIRED, "output path"),
-        "labels_as": (("auto", "ratings", "dist"), "auto", "dataset label representation"),
-    }),
-}
-
 
 def _flag(name):
     return "--" + name.replace("_", "-")
@@ -133,7 +97,7 @@ def _build_parser():
     """The ``ldl`` parser and its verb subparsers by name."""
     parser = _Parser(prog="ldl", description="label-distribution attractiveness engine")
     verbs = parser.add_subparsers(dest="verb", metavar="verb")
-    for verb, (help_line, options) in _VERBS.items():
+    for verb, (help_line, _, options) in _VERBS.items():
         p = verbs.add_parser(verb, prog=f"ldl {verb}", help=help_line)
         p.add_argument("--config", help="key=value config file; flags override it")
         for name, (kind, default, help_text) in options.items():
@@ -148,7 +112,7 @@ def _build_parser():
 def _read_config_file(path, verb, parser):
     """The options of a key=value config file, each converted by ``parser``
     (the verb's own) exactly as the flag with that value would be."""
-    options = _VERBS[verb][1]
+    options = _VERBS[verb][2]
     values = {}
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
@@ -186,7 +150,7 @@ def parse(argv):
     parser, verbs = _build_parser()
     args = parser.parse_args(argv)
     if args.verb is None:
-        raise UsageError("a verb is required (synth|train|eval|predict|gradcheck|export)")
+        raise UsageError(f"a verb is required ({'|'.join(_VERBS)})")
     if args.config is not None:
         sub = verbs[args.verb]
         sub.set_defaults(**_read_config_file(args.config, args.verb, sub))
@@ -216,7 +180,6 @@ def _parse_int_tuple(text, what):
 
 
 def _spec_from(cmd):
-    from .network import NetworkSpec
     return NetworkSpec(
         block_counts=_parse_int_tuple(cmd.blocks, "--blocks"),
         stage_widths=_parse_int_tuple(cmd.widths, "--widths"),
@@ -227,7 +190,6 @@ def _spec_from(cmd):
 
 
 def _train_config(cmd):
-    from .training import TrainConfig
     return TrainConfig(
         batch_size=cmd.batch,
         base_lr=cmd.lr,
@@ -252,9 +214,7 @@ def _network_from_checkpoint(path):
     records (other names or shapes, or too large to allocate: the records
     of a matching spec are already in memory), is a checkpoint error.
     """
-    from . import checkpoint as ckpt_io
-    from .network import Network
-    ckpt = ckpt_io.load(path)
+    ckpt = checkpoint.load(path)
     if ckpt.spec.num_labels < 2:
         raise ConfigurationError(
             f"{path}: a scalar-head (num_labels=1) checkpoint predicts no score distribution")
@@ -271,31 +231,26 @@ def _network_from_checkpoint(path):
 # ---------------------------------------------------------------------------
 
 def _run_synth(cmd):
-    from .data import save_index
-    from .synth import synth_dataset
-    ds = synth_dataset(cmd.n, raters=cmd.raters, noise_sd=cmd.noise_sd,
-                       bimodal_fraction=cmd.bimodal_fraction, seed=cmd.seed,
-                       image_size=cmd.image_size)
-    path = save_index(ds, cmd.out)
+    ds = synth.synth_dataset(cmd.n, raters=cmd.raters, noise_sd=cmd.noise_sd,
+                             bimodal_fraction=cmd.bimodal_fraction, seed=cmd.seed,
+                             image_size=cmd.image_size)
+    path = data.save_index(ds, cmd.out)
     print(f"wrote {ds.n} samples to {path}")
     return 0
 
 
 def _run_train(cmd):
-    from . import checkpoint as ckpt_io
-    from .data import load_index, split
     config = _train_config(cmd)
     spec = _spec_from(cmd)
     if (cmd.train_count is None) != (cmd.test_count is None):
         raise UsageError("--train-count and --test-count must be given together")
-    ds = load_index(cmd.data, image_size=spec.input_size)
+    ds = data.load_index(cmd.data, image_size=spec.input_size)
     if cmd.train_count is not None:
-        ds = split(ds, counts=(cmd.train_count, cmd.test_count), seed=cmd.seed)
+        ds = data.split(ds, counts=(cmd.train_count, cmd.test_count), seed=cmd.seed)
     else:
-        ds = split(ds, train_fraction=cmd.train_frac, seed=cmd.seed)
-    from .training import train
-    ckpt, log = train(ds, spec, config)
-    ckpt_io.save(ckpt, cmd.out)
+        ds = data.split(ds, train_fraction=cmd.train_frac, seed=cmd.seed)
+    ckpt, log = training.train(ds, spec, config)
+    checkpoint.save(ckpt, cmd.out)
     metrics_path = cmd.metrics or (cmd.out + ".metrics.csv")
     log.save_csv(metrics_path)
     last = log.points[-1]
@@ -306,16 +261,13 @@ def _run_train(cmd):
 
 
 def _run_eval(cmd):
-    from .data import load_index
-    from .distributions import weighted_mean
-    from .training import evaluate
     net, ckpt = _network_from_checkpoint(cmd.ckpt)
-    ds = load_index(cmd.data, image_size=net.spec.input_size)
+    ds = data.load_index(cmd.data, image_size=net.spec.input_size)
     if ds.scale != ckpt.scale:
         raise ConfigurationError(f"{cmd.data} has the score scale {ds.scale.labels}, the "
                                  f"checkpoint {cmd.ckpt} {ckpt.scale.labels}")
     indices = list(range(ds.n))
-    record = evaluate(net, ds, indices, loss_kind=cmd.loss)
+    record = training.evaluate(net, ds, indices, loss_kind=cmd.loss)
     print(f"n {record.n} pc {record.pc!r} kl {record.mean_kl:.6f} "
           f"chebyshev {record.mean_chebyshev:.6f} {record.loss_kind} {record.mean_loss:.6f}")
     if cmd.out:
@@ -336,14 +288,10 @@ def _run_eval(cmd):
 
 
 def _run_predict(cmd):
-    import numpy as np
-
-    from . import autodiff as ad
-    from .imageio import read_image
-    from .imaging import normalize_image
     net, ckpt = _network_from_checkpoint(cmd.ckpt)
     crop = _parse_int_tuple(cmd.crop, "--crop") if cmd.crop else None
-    image = normalize_image(read_image(cmd.image), crop=crop, target=net.spec.input_size)
+    image = imaging.normalize_image(imageio.read_image(cmd.image), crop=crop,
+                                    target=net.spec.input_size)
     with ad.no_grad():
         out = net.forward(image[None], mode="eval")
     dist = out.distribution.data[0].astype(np.float64)
@@ -353,14 +301,12 @@ def _run_predict(cmd):
 
 
 def _run_gradcheck(cmd):
-    from .gradcheck import end_to_end_check, gradient_suite
-
     _integer("end_to_end_check", "seed", cmd.seed, 0)   # before the suite's work
-    worst, ok = gradient_suite(num_seeds=cmd.seeds, tol=cmd.tol)
+    worst, ok = gradcheck.gradient_suite(num_seeds=cmd.seeds, tol=cmd.tol)
     for name in sorted(worst):
         status = "ok" if worst[name] <= cmd.tol else "FAIL"
         print(f"op {name}: max rel err {worst[name]:.3e} [{status}]")
-    report, n_params = end_to_end_check(seed=cmd.seed, tol=cmd.e2e_tol)
+    report, n_params = gradcheck.end_to_end_check(seed=cmd.seed, tol=cmd.e2e_tol)
     print(f"end-to-end ({n_params} params): max rel err "
           f"{report.max_rel_err:.3e} [{'ok' if report.passed else 'FAIL'}]")
     if ok and report.passed:
@@ -372,26 +318,61 @@ def _run_gradcheck(cmd):
 
 def _run_export(cmd):
     if cmd.kind == "checkpoint":
-        from . import checkpoint as ckpt_io
-        ckpt = ckpt_io.load(cmd.src)
-        ckpt_io.save(ckpt, cmd.out)
+        ckpt = checkpoint.load(cmd.src)
+        checkpoint.save(ckpt, cmd.out)
         print(f"rewrote checkpoint ({len(ckpt.state)} records, iteration {ckpt.iteration}) "
               f"to {cmd.out}")
     else:
-        from .data import load_index, save_index
-        ds = load_index(cmd.src)
-        save_index(ds, cmd.out, labels=cmd.labels_as)
+        ds = data.load_index(cmd.src)
+        data.save_index(ds, cmd.out, labels=cmd.labels_as)
         print(f"rewrote dataset ({ds.n} samples) to {cmd.out}")
     return 0
 
 
-_RUNNERS = {
-    "synth": _run_synth,
-    "train": _run_train,
-    "eval": _run_eval,
-    "predict": _run_predict,
-    "gradcheck": _run_gradcheck,
-    "export": _run_export,
+# verb -> (help line, runner, options)
+_VERBS = {
+    "synth": ("generate a synthetic rated-face dataset (index + PPM images)", _run_synth, {
+        "n": (int, 500, "number of faces"),
+        "raters": (int, 70, "raters per face"),
+        "noise_sd": (float, 0.4, "rater noise standard deviation"),
+        "bimodal_fraction": (float, 0.1, "fraction of controversial faces"),
+        "image_size": (int, 32, "rendered image side"),
+        "out": (str, REQUIRED, "output index path"),
+        "seed": (int, 0, "random seed"),
+    }),
+    "train": ("train a network on a dataset index, writing checkpoint + metrics CSV",
+              _run_train, {
+        "data": (str, REQUIRED, "dataset index path"),
+        "out": (str, REQUIRED, "output checkpoint path"),
+        "metrics": (str, None, "metrics CSV path (default <out>.metrics.csv)"),
+        "seed": (int, TrainConfig.seed, "random seed"),
+        **_TRAIN_OPTS,
+        **_SPEC_OPTS,
+    }),
+    "eval": ("evaluate a checkpoint: PC, mean KL, mean Chebyshev, per-sample CSV", _run_eval, {
+        "data": (str, REQUIRED, "dataset index path"),
+        "ckpt": (str, REQUIRED, "checkpoint path"),
+        "out": (str, None, "optional per-sample CSV path"),
+        "loss": (LOSS_KINDS, "euclidean", "loss column to report"),
+    }),
+    "predict": ("predict the score distribution and weighted mean for one image", _run_predict, {
+        "ckpt": (str, REQUIRED, "checkpoint path"),
+        "image": (str, REQUIRED, "image path, PPM or PNG"),
+        "crop": (str, None, "face crop box x0,y0,x1,y1"),
+    }),
+    "gradcheck": ("run the finite-difference gradient suite (nonzero exit on failure)",
+                  _run_gradcheck, {
+        "seeds": (int, 50, "random draws per op"),
+        "tol": (float, 1e-5, "per-op relative-error tolerance"),
+        "e2e_tol": (float, 1e-4, "end-to-end relative-error tolerance"),
+        "seed": (int, 0, "random seed"),
+    }),
+    "export": ("rewrite a checkpoint or dataset in the current format", _run_export, {
+        "kind": (("checkpoint", "dataset"), REQUIRED, "what to convert"),
+        "src": (str, REQUIRED, "input path"),
+        "out": (str, REQUIRED, "output path"),
+        "labels_as": (data.LABEL_FORMS, "auto", "dataset label representation"),
+    }),
 }
 
 
@@ -414,7 +395,7 @@ def main(argv=None):
     try:
         cmd = parse(sys.argv[1:] if argv is None else list(argv))
         _print_config(cmd)
-        return _RUNNERS[cmd.verb](cmd)
+        return _VERBS[cmd.verb][1](cmd)
     except tuple(_EXIT_CODES) as exc:
         label = "usage error" if isinstance(exc, UsageError) else "error"
         print(f"{label}: {exc}", file=sys.stderr)

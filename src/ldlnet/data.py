@@ -18,12 +18,20 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distributions import ScoreScale, distribution_from_ratings, validate_distribution, weighted_mean
-from .errors import ConfigurationError, DatasetError, ValidationError, _integer
+from .errors import (
+    ConfigurationError,
+    DatasetError,
+    EmptyInputError,
+    RangeError,
+    ValidationError,
+    _integer,
+)
 from .imageio import read_image, write_ppm
 from .imaging import ColorPCA, adjust_contrast, normalize_image, pca_color_shift, rotate_image
 
 DIST_SUM_DRIFT = 1e-3
 AUGMENT_KINDS = ("color", "rotation", "contrast")
+LABEL_FORMS = ("auto", "ratings", "dist")
 
 
 @dataclass
@@ -137,6 +145,8 @@ def save_index(dataset, index_path, labels="auto"):
     ``labels`` picks the row form: "ratings" / "dist" / "auto" (ratings when
     the sample has them).
     """
+    if labels not in LABEL_FORMS:
+        raise ConfigurationError(f"save_index labels must be one of {LABEL_FORMS}, got {labels!r}")
     index_path = str(index_path)
     base = os.path.dirname(os.path.abspath(index_path))
     stem = os.path.splitext(os.path.basename(index_path))[0]
@@ -176,6 +186,27 @@ def _parse_floats(text, lineno, what):
         raise ValidationError(f"row {lineno}: unparseable {what} value in {text!r}")
 
 
+def _row_labels(token, lineno, scale):
+    """(ratings or None, distribution) of one row's label field."""
+    if token.startswith("ratings:"):
+        ratings = _parse_floats(token[len("ratings:"):], lineno, "rating")
+        return ratings, distribution_from_ratings(ratings, scale)
+    if not token.startswith("dist:"):
+        raise ValidationError(
+            f"row {lineno}: labels must start with 'ratings:' or 'dist:', got {token!r}")
+    vals = np.array(_parse_floats(token[len("dist:"):], lineno, "degree"))
+    if vals.size != len(scale):
+        raise ValidationError(
+            f"row {lineno}: distribution has {vals.size} degrees, scale has {len(scale)}")
+    if not np.all(vals >= 0):   # NaN too
+        raise ValidationError(f"row {lineno}: negative or NaN degree in {vals}")
+    total = float(vals.sum())
+    if abs(total - 1.0) > DIST_SUM_DRIFT:
+        raise ValidationError(
+            f"row {lineno}: distribution sums to {total}, beyond drift {DIST_SUM_DRIFT}")
+    return None, validate_distribution(vals / total)
+
+
 def load_index(index_path, scale=None, image_size=None):
     """Read an index file into a Dataset (all samples in the train split).
 
@@ -183,6 +214,8 @@ def load_index(index_path, scale=None, image_size=None):
     zero-pad, resize); otherwise images are kept at their stored size and
     crops must be absent.
     """
+    if image_size is not None:
+        image_size = _integer("load_index", "image_size", image_size, 1)
     scale = scale or ScoreScale()
     index_path = str(index_path)
     if not os.path.exists(index_path):
@@ -214,32 +247,16 @@ def load_index(index_path, scale=None, image_size=None):
             if not os.path.exists(img_path):
                 raise DatasetError(f"row {lineno}: image not found: {img_path}")
             image = read_image(img_path)
-            if image_size is not None:
-                image = normalize_image(image, crop=crop, target=image_size)
-            elif crop is not None:
-                # crop and square up at the region's natural resolution
-                side = max(crop[2] - crop[0], crop[3] - crop[1])
-                image = normalize_image(image, crop=crop, target=side)
-
-            if label_token.startswith("ratings:"):
-                ratings = _parse_floats(label_token[len("ratings:"):], lineno, "rating")
-                dist = distribution_from_ratings(ratings, scale)
-            elif label_token.startswith("dist:"):
-                ratings = None
-                vals = np.array(_parse_floats(label_token[len("dist:"):], lineno, "degree"))
-                if vals.size != len(scale):
-                    raise ValidationError(
-                        f"row {lineno}: distribution has {vals.size} degrees, scale has {len(scale)}")
-                if not np.all(vals >= 0):   # NaN too
-                    raise ValidationError(f"row {lineno}: negative or NaN degree in {vals}")
-                total = float(vals.sum())
-                if abs(total - 1.0) > DIST_SUM_DRIFT:
-                    raise ValidationError(
-                        f"row {lineno}: distribution sums to {total}, beyond drift {DIST_SUM_DRIFT}")
-                dist = validate_distribution(vals / total)
-            else:
-                raise ValidationError(
-                    f"row {lineno}: labels must start with 'ratings:' or 'dist:', got {label_token!r}")
+            try:
+                if image_size is not None:
+                    image = normalize_image(image, crop=crop, target=image_size)
+                elif crop is not None:
+                    # crop and square up at the region's natural resolution
+                    side = max(crop[2] - crop[0], crop[3] - crop[1])
+                    image = normalize_image(image, crop=crop, target=side)
+                ratings, dist = _row_labels(label_token, lineno, scale)
+            except (RangeError, EmptyInputError) as exc:   # crop or rating off its range
+                raise ValidationError(f"row {lineno}: {exc}") from exc
 
             samples.append(Sample(
                 image=image.astype(np.float32),

@@ -10,6 +10,7 @@ for training.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ class ScoreScale:
 
     def __post_init__(self):
         labels = tuple(float(v) for v in self.labels)
+        if not all(math.isfinite(v) for v in labels):
+            raise ValidationError(f"score labels must be finite, got {labels}")
         if len(labels) < 2:
             raise ValidationError(f"a score scale needs at least 2 labels, got {len(labels)}")
         if any(b <= a for a, b in zip(labels, labels[1:])):

@@ -11,24 +11,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, RangeError
+from .errors import EmptyInputError, RangeError, _integer
 
 
 def bilinear_resize(img, out_h, out_w):
-    """Resample (C,H,W) to (C,out_h,out_w) with half-pixel-centered bilinear weights."""
+    """Resample (C,H,W) to (C,out_h,out_w) with half-pixel-centered bilinear
+    weights; a sample point beyond the border takes the edge pixel."""
     c, h, w = img.shape
     if (out_h, out_w) == (h, w):
         return img.copy()
-    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
-    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
+    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
     y0 = np.floor(ys)
     x0 = np.floor(xs)
     wy = (ys - y0).astype(img.dtype)
     wx = (xs - x0).astype(img.dtype)
-    y0 = np.clip(y0.astype(int), 0, h - 1)
-    y1 = np.clip(y0 + 1, 0, h - 1)
-    x0 = np.clip(x0.astype(int), 0, w - 1)
-    x1 = np.clip(x0 + 1, 0, w - 1)
+    y0 = y0.astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x0 = x0.astype(int)
+    x1 = np.minimum(x0 + 1, w - 1)
 
     top = img[:, y0[:, None], x0[None, :]] * (1 - wx) + img[:, y0[:, None], x1[None, :]] * wx
     bot = img[:, y1[:, None], x0[None, :]] * (1 - wx) + img[:, y1[:, None], x1[None, :]] * wx
@@ -49,6 +50,8 @@ def normalize_image(raw, crop=None, target=32):
             raise EmptyInputError(f"zero-area crop box {crop}")
         img = img[:, y0:y1, x0:x1]
         _, h, w = img.shape
+    # after the crop checks, so a bad crop is reported as such
+    target = _integer("normalize_image", "target", target, 1)
     if h != w:
         side = max(h, w)
         dh, dw = side - h, side - w

@@ -39,6 +39,7 @@ from .distributions import (
 from .errors import ConfigurationError, NumericalError, UndefinedCorrelationError, _integer
 from .network import Network, init_weights
 
+PREDICT_BATCH = 64   # images per eval-mode forward in the prediction loop
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -170,25 +171,25 @@ def _batch_arrays(dataset, indices):
     return images, targets
 
 
-def _predict(net, dataset, indices, batch_size, readout):
+def _predict(net, dataset, indices, readout):
     """Eval-mode ``readout(network output)`` for the given sample indices,
-    batched, as one float64 array in index order."""
+    in batches of PREDICT_BATCH, as one float64 array in index order."""
     preds = []
     with ad.no_grad():
-        for start in range(0, len(indices), batch_size):
-            images, _ = _batch_arrays(dataset, indices[start:start + batch_size])
+        for start in range(0, len(indices), PREDICT_BATCH):
+            images, _ = _batch_arrays(dataset, indices[start:start + PREDICT_BATCH])
             preds.append(readout(net.forward(images, mode="eval")).astype(np.float64))
     return np.concatenate(preds)
 
 
-def predict_distributions(net, dataset, indices, batch_size=64):
+def predict_distributions(net, dataset, indices):
     """Eval-mode predicted distributions for the given sample indices."""
-    return _predict(net, dataset, indices, batch_size, lambda out: out.distribution.data)
+    return _predict(net, dataset, indices, lambda out: out.distribution.data)
 
 
-def predict_scalar_scores(net, dataset, indices, batch_size=64):
+def predict_scalar_scores(net, dataset, indices):
     """Eval-mode scalar-head predictions (mean-regression baseline)."""
-    return _predict(net, dataset, indices, batch_size, lambda out: out.logits.data[:, 0])
+    return _predict(net, dataset, indices, lambda out: out.logits.data[:, 0])
 
 
 def recompute_bn_stats(net, dataset, indices, batch_size):

@@ -78,7 +78,8 @@ class TestParse:
 
 class TestOptionTable:
     def test_defaults_are_the_library_defaults(self):
-        # the option table repeats TrainConfig's and NetworkSpec's defaults
+        # the option table takes its defaults from TrainConfig and NetworkSpec,
+        # and _train_config and _spec_from map each option back to its field
         from ldlnet.cli import _spec_from, _train_config
         from ldlnet.network import NetworkSpec
         from ldlnet.training import TrainConfig
@@ -307,6 +308,15 @@ class TestExitCodes:
         ckpt_io.save(ckpt_io.Checkpoint.from_network(net, labels=(5, 4, 3, 2, 1)), path)
         assert main(["predict", "--ckpt", str(path), "--image", "unread.ppm"]) == 3
         assert "labels" in capsys.readouterr().err
+
+    def test_index_row_off_the_scale_is_three(self, workspace, tmp_path, capsys):
+        # an off-scale rating exited 1 and named no row
+        from ldlnet.imageio import write_ppm
+        write_ppm(tmp_path / "a.ppm", np.zeros((3, 16, 16), dtype=np.float32))
+        (tmp_path / "d.idx").write_text("a.ppm,ratings:3\na.ppm,ratings:7;3\n")
+        assert main(["eval", "--data", str(tmp_path / "d.idx"),
+                     "--ckpt", str(workspace / "m.ckpt")]) == 3
+        assert "row 2: rating 7.0" in capsys.readouterr().err
 
     def test_config_that_is_not_utf8_is_one(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -89,6 +89,21 @@ class TestNormalizeImage:
         out = bilinear_resize(img, 17, 17)
         assert np.allclose(out, 0.375, atol=1e-6)
 
+    def test_upsampled_ramp_clamps_to_its_edges(self):
+        # the first output row samples left of pixel 0 and took its fraction
+        # from the unclamped floor: 0.75 instead of the edge value 0
+        ramp = np.broadcast_to(np.arange(4.0)[None, :, None], (3, 4, 4))
+        out = bilinear_resize(ramp, 8, 8)[0, :, 0]
+        assert out[0] == 0.0 and out[-1] == 3.0
+        assert np.all(np.diff(out) >= 0)
+
+    @pytest.mark.parametrize("target", [16.5, True, 0, -3])
+    def test_bad_target_is_refused(self, target):
+        # 16.5 gave 17x17, True 1x1, 0 a raw ZeroDivisionError, -3 an empty image
+        img = np.zeros((3, 8, 8), dtype=np.float32)
+        with pytest.raises(ConfigurationError, match="normalize_image target"):
+            normalize_image(img, target=target)
+
 
 class TestAugmentPrimitives:
     def test_rotation_zero_is_identity(self):
@@ -339,6 +354,31 @@ class TestIndexFiles:
         (tmp_path / "d.idx").write_text(f"a.ppm,{labels}\n")
         with pytest.raises((RangeError, ValidationError)):
             load_index(tmp_path / "d.idx")
+
+    @pytest.mark.parametrize("image_size", [None, 4])
+    @pytest.mark.parametrize("row", ["a.ppm,ratings:7;3", "a.ppm,ratings:",
+                                     "a.ppm,crop=0;0;11;5,ratings:3",
+                                     "a.ppm,crop=4;4;4;8,ratings:3"])
+    def test_row_off_its_range_is_invalid_data_with_its_row(self, tmp_path, row, image_size):
+        # an off-scale rating, no rating, a crop outside the image, a
+        # zero-area crop: each was a RangeError or EmptyInputError without a row
+        write_ppm(tmp_path / "a.ppm", np.zeros((3, 10, 10), dtype=np.float32))
+        (tmp_path / "d.idx").write_text(f"a.ppm,ratings:3\n{row}\n")
+        with pytest.raises(ValidationError, match="^row 2: "):
+            load_index(tmp_path / "d.idx", image_size=image_size)
+
+    @pytest.mark.parametrize("image_size", [16.5, True, 0, -3])
+    def test_bad_image_size_is_refused_before_any_file_is_read(self, tmp_path, image_size):
+        with pytest.raises(ConfigurationError, match="load_index image_size"):
+            load_index(tmp_path / "absent.idx", image_size=image_size)
+
+    @pytest.mark.parametrize("labels", ["bogus", "Dist", None])
+    def test_unknown_label_form_is_refused(self, tmp_path, labels):
+        # "bogus" wrote dist rows
+        ds = synth_dataset(2, raters=3, seed=0, image_size=16)
+        with pytest.raises(ConfigurationError, match="save_index labels"):
+            save_index(ds, tmp_path / "d.idx", labels=labels)
+        assert not (tmp_path / "d.idx").exists()
 
     def test_malformed_label_token(self, tmp_path):
         write_ppm(tmp_path / "a.ppm", np.zeros((3, 8, 8), dtype=np.float32))

@@ -44,6 +44,13 @@ class TestScoreScale:
         with pytest.raises(ValidationError):
             ScoreScale(labels=(1,))
 
+    @pytest.mark.parametrize("labels", [(1, float("inf")), (1, float("nan"), 3),
+                                        (float("-inf"), 1, 2)])
+    def test_rejects_non_finite_labels(self, labels):
+        # (1, inf) made weighted_mean NaN; (1, nan, 3) binned a rating of 1 on NaN
+        with pytest.raises(ValidationError, match="finite"):
+            ScoreScale(labels=labels)
+
 
 class TestDistributionFromRatings:
     def test_single_bin(self):

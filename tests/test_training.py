@@ -18,6 +18,8 @@ from ldlnet.training import (
     TrainConfig,
     evaluate,
     lr_at,
+    PREDICT_BATCH,
+    predict_distributions,
     predict_scalar_scores,
     recompute_bn_stats,
     sgd_step,
@@ -336,6 +338,13 @@ class TestEvaluate:
         true = np.array([ds.samples[i].mean_score for i in ds.test_idx])
         assert pearson(true + 0.5, true) == pytest.approx(1.0)
 
+    def test_split_longer_than_a_batch_is_predicted_in_order(self):
+        ds = toy_dataset(24, seed=7, train=16)
+        indices = list(range(ds.n)) * 3
+        assert len(indices) > PREDICT_BATCH
+        preds = predict_distributions(self._OracleNet(ds, indices), ds, indices)
+        assert np.array_equal(preds, np.stack([ds.samples[i].distribution for i in indices]))
+
     def test_empty_split_rejected(self):
         ds = toy_dataset(16, seed=10, train=12)
         net = Network(TOY)
@@ -406,7 +415,7 @@ class TestRegressionBaseline:
         assert len(history) == 2
         net = Network(spec)
         net.load_state_dict(ckpt.state)
-        scores = predict_scalar_scores(net, ds, ds.test_idx, batch_size=5)
+        scores = predict_scalar_scores(net, ds, ds.test_idx)
         assert scores.shape == (len(ds.test_idx),) and scores.dtype == np.float64
 
     def test_rejects_distribution_head(self):
