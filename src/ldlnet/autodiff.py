@@ -1,12 +1,19 @@
 """Reverse-mode automatic differentiation over dense numpy tensors.
 
-A :class:`Tensor` wraps a float32/float64 ndarray. Ops build a dynamic tape:
-every result remembers its parent tensors and a backward closure, and
-``loss.backward()`` walks the tape once in reverse topological order and
-consumes it. Leaves (tensors with no closure: parameters and inputs that
+A :class:`Tensor` wraps a float32/float64 ndarray, its value, and owns one
+small graph :class:`Node` that holds ``grad``, ``requires_grad``, the parent
+nodes and the backward closure ``_backward``; the Tensor reads and assigns
+``grad``, ``requires_grad`` and ``_backward`` through its node. Ops build a
+dynamic tape of nodes: every result's node links to its parents' *nodes*,
+never to their values, so an array outlives the forward only while some
+backward closure captured it, and each closure captures only what its
+vector-Jacobian product reads (Chainer's ``VariableNode`` and PyTorch's
+``grad_fn`` keep graph and values apart in the same way).
+``loss.backward()`` walks the nodes once in reverse topological order and
+consumes them. Leaves (nodes with no closure: parameters and inputs that
 require grad) receive their gradients in ``.grad``; every other node drops
 its ``.grad``, closure and parents once its closure has run, so each saved
-activation is freed as soon as the walk passes its last reader. A second
+array is freed as soon as the walk passes its last reader. A second
 backward through a consumed node raises :class:`ConfigurationError`.
 
 Every op records itself through one helper, ``_node(value, op, parents,
@@ -57,21 +64,39 @@ class no_grad:
         return False
 
 
-class Tensor:
-    """Dense n-dimensional float array, a node of the differentiation tape."""
+class Node:
+    """The graph side of one Tensor: its gradient, whether it needs one, the
+    nodes of its parents and the backward closure that feeds them."""
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_parents", "_backward")
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward")
+
+    def __init__(self, requires_grad):
+        self.grad = None
+        self.requires_grad = requires_grad
+        self._parents = ()
+        self._backward = None
+
+
+def _on_node(name):
+    """A Tensor attribute that reads and assigns its node's ``name``."""
+    return property(lambda t: getattr(t.node, name), lambda t, v: setattr(t.node, name, v))
+
+
+class Tensor:
+    """Dense n-dimensional float array and the graph node it owns."""
+
+    __slots__ = ("data", "op", "node")
+    grad = _on_node("grad")
+    requires_grad = _on_node("requires_grad")
+    _backward = _on_node("_backward")
 
     def __init__(self, data, requires_grad=False, op="leaf", dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
-        self.grad = None
-        self.requires_grad = bool(requires_grad)
         self.op = op
-        self._parents = ()
-        self._backward = None
+        self.node = Node(bool(requires_grad))
 
     @property
     def shape(self):
@@ -85,15 +110,16 @@ class Tensor:
         """Propagate d(self)/d(leaf) into ``.grad`` of every reachable leaf,
         consuming the tape.
 
-        Nodes are popped off the topological order, last first. Once a
-        node's closure has run, its ``.grad``, closure and parents are
-        dropped, and with them the arrays the closure saved; only leaves
-        keep ``.grad``. A graph that reaches a node an earlier backward
-        consumed raises ConfigurationError before any gradient is touched.
+        The walk visits graph nodes, not values: nodes are popped off the
+        topological order, last first. Once a node's closure has run, its
+        ``.grad``, closure and parents are dropped, and with them the arrays
+        the closure saved; only leaves keep ``.grad``. A graph that reaches
+        a node an earlier backward consumed raises ConfigurationError before
+        any gradient is touched.
         """
         if self.data.size != 1:
             raise DimensionError(f"backward() needs a scalar loss, got shape {self.data.shape}")
-        order = _topo_order(self)
+        order = _topo_order(self.node)
         if any(node._backward is _consumed for node in order):
             raise ConfigurationError(
                 "backward() reached a node an earlier backward() consumed; run the forward again")
@@ -109,7 +135,7 @@ class Tensor:
 
 
 def _topo_order(root):
-    """Parents-before-children ordering of every node reachable from ``root``."""
+    """Parents-before-children ordering of every node reachable from the node ``root``."""
     order = []
     seen = set()
     stack = [(root, False)]
@@ -134,20 +160,21 @@ def _consumed(g):
 
 
 def _node(value, op, parents, vjp):
-    """The Tensor ``value`` that ``op`` made from ``parents``, wired to the
-    tape with a backward that adds ``vjp(g)``'s gradients into the parents
-    that require grad. The vjp's scratch arrays are freed before any
-    gradient is added."""
+    """The Tensor ``value`` that ``op`` made from ``parents``, its node wired
+    to the parents' nodes with a backward that adds ``vjp(g)``'s gradients
+    into the parents that require grad. The node holds no value: ``vjp``
+    keeps alive only what it captured. The vjp's scratch arrays are freed
+    before any gradient is added."""
     out = Tensor(value, op=op)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    nodes = tuple(p.node for p in parents)
+    if _grad_enabled and any(p.requires_grad for p in nodes):
         def bwd(g):
-            for p, dp in zip(parents, vjp(g)):
+            for p, dp in zip(nodes, vjp(g)):
                 if dp is not None and p.requires_grad:
                     p.grad = dp if p.grad is None else p.grad + dp
 
-        out._parents = tuple(parents)
-        out._backward = bwd
-        out.requires_grad = True
+        node = out.node
+        node.requires_grad, node._parents, node._backward = True, nodes, bwd
     return out
 
 
@@ -236,9 +263,9 @@ def conv2d(x, k, stride=1, pad=0):
     by kh-1-pad (cropped when pad is larger), with the flipped, transposed
     kernels (Dumoulin & Visin 2016): one matmul on the window rows ``grows``
     of that padded gradient. The same rows give the weight gradient against
-    x itself, which the tape holds anyway as the op's parent: with X the
-    input as (N*H*W, C) rows and M = grows.T @ X as (kh, kw, F, C),
-    dK[f,c,i,j] = M[kh-1-i, kw-1-j, f, c].
+    x itself, in the network a ReLU output that the ReLU's backward keeps
+    anyway: with X the input as (N*H*W, C) rows and M = grows.T @ X as
+    (kh, kw, F, C), dK[f,c,i,j] = M[kh-1-i, kw-1-j, f, c].
 
     Every other conv (stride > 1, or an input that needs no gradient, such
     as the stem's image) keeps its window rows and takes dK = gmat.T @ rows.
@@ -406,8 +433,11 @@ def batch_norm(x, gamma, beta, mode="train", stats=None):
 
 
 def relu(x):
-    """Elementwise max(0, x); subgradient at 0 defined as 0."""
-    return _node(np.maximum(x.data, 0), "relu", (x,), lambda g: (g * (x.data > 0),))
+    """Elementwise max(0, x); subgradient at 0 defined as 0. The backward
+    masks with the output, which is > 0 exactly where x is, so x's value
+    stays off the tape."""
+    r = np.maximum(x.data, 0)
+    return _node(r, "relu", (x,), lambda g: (g * (r > 0),))
 
 
 def pool(x, mode, window, stride=None):
@@ -432,8 +462,9 @@ def pool(x, mode, window, stride=None):
         if window != h or window != w:
             raise ConfigurationError(
                 f"average pooling is global only: window {window} on {h}x{w}")
+        shape = x.shape
         return _node(x.data.mean(axis=(2, 3), keepdims=True), "avg_pool", (x,),
-                     lambda g: (np.broadcast_to(g / (h * w), x.shape).copy(),))
+                     lambda g: (np.broadcast_to(g / (h * w), shape).copy(),))
 
     ho = (h - window) // stride + 1
     wo = (w - window) // stride + 1
@@ -517,11 +548,12 @@ def add_scalar(x, s):
 
 def tsum(x, axis=None):
     """Sum over all elements (axis=None, scalar result) or over one axis."""
+    shape = x.shape
 
     def vjp(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).copy(),)
+        return (np.broadcast_to(g, shape).copy(),)
 
     return _node(x.data.sum(axis=axis), "sum", (x,), vjp)
 
@@ -541,4 +573,5 @@ def clamp_min(x, floor):
 
 
 def reshape(x, shape):
-    return _node(x.data.reshape(shape), "reshape", (x,), lambda g: (g.reshape(x.shape),))
+    old = x.shape
+    return _node(x.data.reshape(shape), "reshape", (x,), lambda g: (g.reshape(old),))

@@ -37,7 +37,11 @@ class ScoreScale:
     labels: tuple = (1.0, 2.0, 3.0, 4.0, 5.0)
 
     def __post_init__(self):
-        labels = tuple(float(v) for v in self.labels)
+        try:
+            labels = tuple(float(v) for v in self.labels)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"score labels must be a sequence of numbers, got {self.labels!r}") from None
         if not all(math.isfinite(v) for v in labels):
             raise ValidationError(f"score labels must be finite, got {labels}")
         if len(labels) < 2:

@@ -52,11 +52,25 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def _first_nonfinite_op(loss):
-    for node in ad._topo_order(loss):
-        if not np.all(np.isfinite(node.data)):
-            return node.op
-    return "unknown"
+def _first_nonfinite_op(loss_fn):
+    """The first op whose output is not finite in a fresh run of
+    ``loss_fn``. The tape keeps no values, so the forward runs once more,
+    without a tape, with ``autodiff._node`` watching each op's output."""
+    found = []
+    real = ad._node
+
+    def watch(value, op, parents, vjp):
+        if not found and not np.all(np.isfinite(value)):
+            found.append(op)
+        return real(value, op, parents, vjp)
+
+    ad._node = watch
+    try:
+        with ad.no_grad():
+            loss_fn()
+    finally:
+        ad._node = real
+    return found[0] if found else "unknown"
 
 
 def _rel_err(analytic, numeric):
@@ -92,7 +106,7 @@ def grad_check(named_params, loss_fn, eps=1e-5, tol=1e-5, max_per_param=None, se
         t.grad = None
     loss = loss_fn()
     if not np.all(np.isfinite(loss.data)):
-        report.failure = f"non-finite loss in forward pass (op {_first_nonfinite_op(loss)})"
+        report.failure = f"non-finite loss in forward pass (op {_first_nonfinite_op(loss_fn)})"
         return report
     loss.backward()
     analytic = {name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))

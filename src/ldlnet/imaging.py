@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, RangeError, _integer
+from .errors import ConfigurationError, EmptyInputError, RangeError, _integer
 
 
 def bilinear_resize(img, out_h, out_w):
@@ -43,7 +43,10 @@ def normalize_image(raw, crop=None, target=32):
         raise RangeError(f"expected a (3,H,W) image, got shape {img.shape}")
     _, h, w = img.shape
     if crop is not None:
-        x0, y0, x1, y1 = (int(v) for v in crop)
+        if np.shape(crop) != (4,):
+            raise ConfigurationError(
+                f"normalize_image crop needs 4 values x0, y0, x1, y1, got {crop!r}")
+        x0, y0, x1, y1 = (_integer("normalize_image", "crop value", v) for v in crop)
         if x0 < 0 or y0 < 0 or x1 > w or y1 > h:
             raise RangeError(f"crop box {crop} outside image bounds {w}x{h}")
         if x1 <= x0 or y1 <= y0:

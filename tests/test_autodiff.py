@@ -420,6 +420,14 @@ class TestRelu:
         rep = grad_check([("x", x)], lambda: ad.tsum(ad.relu(x)), eps=1e-6, tol=1e-8)
         assert rep.passed, rep.summary()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradient_mask_is_the_input_mask_bit_for_bit(self, dtype):
+        data = np.array([-1.0, -0.0, 0.0, 1e-30, 2.0], dtype=dtype)
+        g = np.array([0.5, -3.0, 7.0, -0.25, 1.5], dtype=dtype)
+        x = ad.Tensor(data, requires_grad=True)
+        ad.tsum(ad.mul_const(ad.relu(x), g)).backward()
+        assert x.grad.tobytes() == (g * (data > 0)).tobytes()
+
 
 class TestPool:
     def test_max_definition(self):
@@ -571,27 +579,56 @@ class TestTapeProperties:
 TINY = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(2, 3, 4, 5), input_size=16)
 
 
-def _tiny_step():
-    """Forward of a tiny network on a batch of 2 and its Euclidean loss."""
-    net = Network(TINY)
+TINY_BOTTLENECK = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(2, 3, 4, 5), input_size=16,
+                              block_kind="bottleneck", stem_pool_window=3, stem_pool_pad=1)
+
+
+def _owner(a):
+    """The array that owns ``a``'s memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def _tiny_step(spec=TINY, record=None):
+    """Forward of a tiny network on a batch of 2 and its Euclidean loss.
+
+    With ``record`` (a list), every op the network's forward records through
+    ``autodiff._node`` appends (op, weakref to its output's memory, weakrefs
+    to its parents' memory); the record holds no array itself.
+    """
+    net = Network(spec)
     init_weights(net, 0)
     rng = np.random.default_rng(20)
-    images = rng.random((2, 3, 16, 16), dtype=np.float32)
-    targets = rng.dirichlet(np.ones(TINY.num_labels), size=2).astype(np.float32)
-    out = net.forward(images, mode="train")
+    images = rng.random((2, 3, spec.input_size, spec.input_size), dtype=np.float32)
+    targets = rng.dirichlet(np.ones(spec.num_labels), size=2).astype(np.float32)
+    real = ad._node
+
+    def watch(value, op, parents, vjp):
+        record.append((op, weakref.ref(_owner(value)),
+                       [weakref.ref(_owner(p.data)) for p in parents]))
+        return real(value, op, parents, vjp)
+
+    if record is not None:
+        ad._node = watch
+    try:
+        out = net.forward(images, mode="train")
+    finally:
+        ad._node = real
     return net, out, batch_loss_graph("euclidean", out.distribution, targets)
 
 
 class TestTapeRelease:
     def test_backward_frees_the_tape_and_leaves_keep_their_gradients(self):
-        net, out, loss = _tiny_step()
-        order = ad._topo_order(loss)
-        convs = [n for n in order if n.op == "conv2d"]
-        conv = convs[len(convs) // 2]
-        conv_data = weakref.ref(conv.data)
-        inner = [n for n in order if n._backward is not None and n is not conv]
-        assert out.distribution in inner and out.features in inner
-        del order, convs, conv
+        record = []
+        net, out, loss = _tiny_step(record=record)
+        convs = [ref for op, ref, _ in record if op == "conv2d"]
+        conv_data = convs[len(convs) // 2]
+        assert conv_data() is not None
+        order = ad._topo_order(loss.node)
+        inner = [n for n in order if n._backward is not None]
+        assert out.distribution.node in inner and out.features.node in inner
+        del order
         loss.backward()
         assert conv_data() is None
         assert all(n.grad is None for n in inner)
@@ -599,6 +636,26 @@ class TestTapeRelease:
         for rec in net.param_records():
             assert rec.tensor.grad is not None, rec.name
             assert rec.tensor.grad.shape == rec.tensor.shape, rec.name
+
+    @pytest.mark.parametrize("spec", [TINY, TINY_BOTTLENECK], ids=["basic", "bottleneck_padded_pool"])
+    def test_the_tape_keeps_no_value_a_backward_does_not_read(self, spec):
+        record = []
+        net, _, loss = _tiny_step(spec, record)
+        ops = [op for op, _, _ in record]
+        assert {"batch_norm", "add", "conv2d", "max_pool"} <= set(ops)
+        assert ("pad2d" in ops) == (spec.stem_pool_pad > 0)
+        for op, value, parents in record:
+            if op in ("batch_norm", "add"):
+                assert value() is None, op
+            if op in ("conv2d", "max_pool"):
+                assert parents[0]() is not None, op
+        loss.backward()
+        got = {r.name: r.tensor.grad for r in net.param_records()}
+
+        net, _, loss = _tiny_step(spec)
+        loss.backward()
+        for rec in net.param_records():
+            assert np.array_equal(got[rec.name], rec.tensor.grad), rec.name
 
     def test_second_backward_raises_and_leaves_gradients_alone(self):
         net, _, loss = _tiny_step()

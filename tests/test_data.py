@@ -74,6 +74,13 @@ class TestNormalizeImage:
         with pytest.raises(EmptyInputError):
             normalize_image(img, crop=(4, 4, 4, 8), target=4)
 
+    @pytest.mark.parametrize("crop", [(0, 0, 4.5, 4), (0, 0, 4), 4])
+    def test_crop_must_be_four_integers(self, crop):
+        # (0, 0, 4.5, 4) was silently cropped 4x4; (0, 0, 4) ended in a raw unpacking error
+        img = np.zeros((3, 10, 10), dtype=np.float32)
+        with pytest.raises(ConfigurationError, match="normalize_image crop"):
+            normalize_image(img, crop=crop, target=4)
+
     def test_output_always_square(self):
         rng = np.random.default_rng(1)
         for h, w in ((7, 31), (31, 7), (16, 16), (100, 3)):

@@ -51,6 +51,12 @@ class TestScoreScale:
         with pytest.raises(ValidationError, match="finite"):
             ScoreScale(labels=labels)
 
+    @pytest.mark.parametrize("labels", [(1, "x"), (1, None), 5])
+    def test_rejects_non_numeric_labels(self, labels):
+        # a raw ValueError from float("x"), TypeErrors from float(None) and iter(5)
+        with pytest.raises(ValidationError, match="sequence of numbers"):
+            ScoreScale(labels=labels)
+
 
 class TestDistributionFromRatings:
     def test_single_bin(self):
