@@ -18,6 +18,10 @@ Values are stored as 32-bit floats, the training precision, so a save/load
 round trip is bit-exact. Running batch-norm statistics are stored as records
 alongside the parameters under their ``*.running_mean`` / ``*.running_var``
 names.
+
+The header's rules live in :class:`Checkpoint`, which checks them when it is
+built, so ``save`` refuses every header ``load`` refuses, before it opens
+the file; ``load`` itself checks only the file's structure.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ from .errors import (
     CheckpointMagicError,
     CheckpointTruncatedError,
     CheckpointVersionError,
-    ValidationError,
+    ConfigurationError,
+    _integer,
 )
 from .network import NetworkSpec
 
@@ -43,12 +48,24 @@ MAGIC = b"LDLN"
 VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class Checkpoint:
+    """A network's spec and named tensors, its iteration and its score scale,
+    checked when built against every header rule :func:`load` checks."""
+
     spec: NetworkSpec
     state: dict = field(default_factory=dict)   # name -> float32 ndarray
     iteration: int = 0
     labels: tuple | None = None   # the score scale's labels; None means 1..num_labels
+
+    def __post_init__(self):
+        object.__setattr__(self, "iteration", _integer("Checkpoint", "iteration", self.iteration, 0))
+        if self.labels is not None:
+            labels = ScoreScale(self.labels).labels
+            if self.spec.num_labels > 1 and len(labels) != self.spec.num_labels:
+                raise ConfigurationError(f"Checkpoint labels has {len(labels)} levels, "
+                                         f"the spec's head {self.spec.num_labels}")
+            object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_network(cls, network, iteration=0, labels=None):
@@ -62,22 +79,18 @@ class Checkpoint:
 
 
 def save(ckpt, path):
-    header = {
-        "spec": asdict(ckpt.spec),
-        "iteration": int(ckpt.iteration),
-        "records": len(ckpt.state),
-    }
+    header = {"spec": asdict(ckpt.spec), "iteration": ckpt.iteration, "records": len(ckpt.state)}
     if ckpt.labels is not None:
-        header["labels"] = [float(v) for v in ckpt.labels]
+        header["labels"] = list(ckpt.labels)
     header = json.dumps(header).encode("utf-8")
+    names = [(name, name.encode("utf-8")) for name in sorted(ckpt.state)]   # before the open
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for name in sorted(ckpt.state):
+        for name, nb in names:
             arr = np.ascontiguousarray(ckpt.state[name], dtype=np.float32)
-            nb = name.encode("utf-8")
             fh.write(struct.pack("<I", len(nb)))
             fh.write(nb)
             fh.write(struct.pack("<I", arr.ndim))
@@ -93,32 +106,6 @@ def _read_exact(fh, n, what):
         raise CheckpointTruncatedError(
             f"file ended while reading {what} ({left} of {n} bytes)")
     return fh.read(n)
-
-
-def _count(header, key):
-    """The header's ``key``, which must be a JSON integer >= 0 (not a bool)."""
-    value = header[key]
-    if type(value) is not int or value < 0:
-        raise CheckpointError(f"header {key} must be an integer >= 0, got {value!r}")
-    return value
-
-
-def _labels(header, spec):
-    """The header's optional ``labels``: a JSON list of numbers (not bools)
-    that makes a ScoreScale, one label per output of a distribution head."""
-    if "labels" not in header:
-        return None
-    value = header["labels"]
-    if type(value) is not list or any(type(v) not in (int, float) for v in value):
-        raise CheckpointError(f"header labels must be a list of numbers, got {value!r}")
-    try:
-        labels = ScoreScale(value).labels
-    except ValidationError as exc:
-        raise CheckpointError(f"header labels: {exc}") from exc
-    if spec.num_labels > 1 and len(labels) != spec.num_labels:
-        raise CheckpointError(
-            f"header labels has {len(labels)} levels, the spec's head {spec.num_labels}")
-    return labels
 
 
 def load(path):
@@ -138,16 +125,16 @@ def load(path):
             if set(spec) != names:
                 raise CheckpointError(f"header spec keys: missing {sorted(names - set(spec))}, "
                                       f"unknown {sorted(set(spec) - names)}")
-            spec = NetworkSpec(**spec)
-            iteration = _count(header, "iteration")
-            n_records = _count(header, "records")
-            labels = _labels(header, spec)
+            n_records = _integer("header", "records", header["records"], 0)
+            if "labels" in header and header["labels"] is None:   # null is not an absent key
+                raise CheckpointError("header labels must be a list of numbers, got null")
+            ckpt = Checkpoint(NetworkSpec(**spec), iteration=header["iteration"],
+                              labels=header.get("labels"))
         except CheckpointError:
             raise
-        except Exception as exc:
-            raise CheckpointError(f"unreadable checkpoint header: {exc}") from exc
+        except Exception as exc:   # not JSON, or a rule of NetworkSpec or Checkpoint
+            raise CheckpointError(f"bad checkpoint header: {exc}") from exc
 
-        state = {}
         for i in range(n_records):
             nlen = struct.unpack("<I", _read_exact(fh, 4, f"record {i} name length"))[0]
             try:
@@ -161,9 +148,9 @@ def load(path):
                 count *= d
             raw = _read_exact(fh, 4 * count, f"record {i} values ({name})")
             try:
-                state[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+                ckpt.state[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
             except ValueError as exc:   # a zero dim beside one numpy cannot hold
                 raise CheckpointError(f"record {i} ({name}) has dims {dims}: {exc}") from exc
         if fh.read(1):
             raise CheckpointError("trailing bytes after the declared records")
-    return Checkpoint(spec=spec, state=state, iteration=iteration, labels=labels)
+    return ckpt

@@ -207,6 +207,17 @@ def _train_config(cmd):
     )
 
 
+def _check_outputs(*paths):
+    """Refuse, before any work, an output path in a missing directory or
+    one that is a directory."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(parent):
+            raise FileNotFoundError(f"output directory not found: {parent}")
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output path is a directory: {path}")
+
+
 def _network_from_checkpoint(path):
     """The network of a distribution-head checkpoint (eval and predict).
 
@@ -244,6 +255,8 @@ def _run_train(cmd):
     spec = _spec_from(cmd)
     if (cmd.train_count is None) != (cmd.test_count is None):
         raise UsageError("--train-count and --test-count must be given together")
+    metrics_path = cmd.metrics or (cmd.out + ".metrics.csv")
+    _check_outputs(cmd.out, metrics_path)
     ds = data.load_index(cmd.data, image_size=spec.input_size)
     if cmd.train_count is not None:
         ds = data.split(ds, counts=(cmd.train_count, cmd.test_count), seed=cmd.seed)
@@ -251,7 +264,6 @@ def _run_train(cmd):
         ds = data.split(ds, train_fraction=cmd.train_frac, seed=cmd.seed)
     ckpt, log = training.train(ds, spec, config)
     checkpoint.save(ckpt, cmd.out)
-    metrics_path = cmd.metrics or (cmd.out + ".metrics.csv")
     log.save_csv(metrics_path)
     last = log.points[-1]
     print(f"final: iter {last.iteration} train_loss {last.train_loss:.6f} "
@@ -261,6 +273,7 @@ def _run_train(cmd):
 
 
 def _run_eval(cmd):
+    _check_outputs(cmd.out)
     net, ckpt = _network_from_checkpoint(cmd.ckpt)
     ds = data.load_index(cmd.data, image_size=net.spec.input_size)
     if ds.scale != ckpt.scale:
@@ -301,7 +314,10 @@ def _run_predict(cmd):
 
 
 def _run_gradcheck(cmd):
-    _integer("end_to_end_check", "seed", cmd.seed, 0)   # before the suite's work
+    # a bad seed or tolerance is refused before the suite's draws
+    _integer("end_to_end_check", "seed", cmd.seed, 0)
+    gradcheck._tolerance("gradient_suite", cmd.tol)
+    gradcheck._tolerance("end_to_end_check", cmd.e2e_tol)
     worst, ok = gradcheck.gradient_suite(num_seeds=cmd.seeds, tol=cmd.tol)
     for name in sorted(worst):
         status = "ok" if worst[name] <= cmd.tol else "FAIL"

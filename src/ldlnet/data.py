@@ -149,17 +149,21 @@ def save_index(dataset, index_path, labels="auto"):
         raise ConfigurationError(f"save_index labels must be one of {LABEL_FORMS}, got {labels!r}")
     index_path = str(index_path)
     base = os.path.dirname(os.path.abspath(index_path))
-    stem = os.path.splitext(os.path.basename(index_path))[0]
-    image_dir = os.path.join(base, stem + "_images")
-    os.makedirs(image_dir, exist_ok=True)
+    rel_dir = os.path.splitext(os.path.basename(index_path))[0] + "_images"
+    # each row starts with rel_dir, which load_index must read back as one path field
+    if "," in rel_dir or rel_dir.startswith("#") or rel_dir.splitlines() != [rel_dir.strip()]:
+        raise ConfigurationError(
+            f"save_index image path {rel_dir!r} would not read back: an index path has no "
+            "commas, line breaks or edge spaces and does not start with '#'")
+    unrated = [i for i, s in enumerate(dataset.samples) if s.ratings is None]
+    if labels == "ratings" and unrated:
+        raise ValidationError(f"sample {unrated[0]} has no ratings to export")
+    os.makedirs(os.path.join(base, rel_dir), exist_ok=True)
     lines = []
     for i, s in enumerate(dataset.samples):
-        img_path = os.path.join(image_dir, f"img_{i:05d}.ppm")
-        write_ppm(img_path, s.image)
-        rel = os.path.relpath(img_path, base)
+        rel = os.path.join(rel_dir, f"img_{i:05d}.ppm")
+        write_ppm(os.path.join(base, rel), s.image)
         if labels == "ratings" or (labels == "auto" and s.ratings is not None):
-            if s.ratings is None:
-                raise ValidationError(f"sample {i} has no ratings to export")
             row = rel + ",ratings:" + ";".join(_format_value(r) for r in s.ratings)
         else:
             row = rel + ",dist:" + ";".join(f"{v:.10g}" for v in s.distribution)

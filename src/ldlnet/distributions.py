@@ -38,6 +38,9 @@ class ScoreScale:
 
     def __post_init__(self):
         try:
+            if isinstance(self.labels, (str, bytes)) or any(
+                    isinstance(v, (str, bytes, bool, np.bool_)) for v in self.labels):
+                raise TypeError   # float() would read "5" and True as numbers
             labels = tuple(float(v) for v in self.labels)
         except (TypeError, ValueError):
             raise ValidationError(

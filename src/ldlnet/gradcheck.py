@@ -7,6 +7,8 @@ would drown the comparison.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,6 +215,13 @@ def _op_cases(rng):
     return cases
 
 
+def _tolerance(op, tol):
+    """ConfigurationError unless ``tol`` is a finite number > 0: no error
+    passes a NaN or non-positive tolerance, and none fails an infinite one."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
+        raise ConfigurationError(f"{op} tol must be a finite number > 0, got {tol!r}")
+
+
 def gradient_suite(num_seeds=50, tol=1e-5):
     """Run every op case over ``num_seeds`` random draws, each with
     :func:`grad_check`'s default step eps = 1e-5.
@@ -220,6 +229,7 @@ def gradient_suite(num_seeds=50, tol=1e-5):
     Returns (per-op max rel err dict, passed flag).
     """
     _integer("gradient_suite", "num_seeds", num_seeds, 1)
+    _tolerance("gradient_suite", tol)
     worst = {}
     for s in range(num_seeds):
         rng = np.random.default_rng(1000 + s)
@@ -245,6 +255,7 @@ def end_to_end_check(seed=0, tol=1e-4):
     from .network import Network, NetworkSpec, init_weights
 
     _integer("end_to_end_check", "seed", seed, 0)
+    _tolerance("end_to_end_check", tol)
     spec = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
                        input_size=16)
     net = Network(spec, dtype=np.float64)

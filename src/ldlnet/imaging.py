@@ -14,14 +14,13 @@ import numpy as np
 from .errors import ConfigurationError, EmptyInputError, RangeError, _integer
 
 
-def bilinear_resize(img, out_h, out_w):
-    """Resample (C,H,W) to (C,out_h,out_w) with half-pixel-centered bilinear
-    weights; a sample point beyond the border takes the edge pixel."""
-    c, h, w = img.shape
-    if (out_h, out_w) == (h, w):
-        return img.copy()
-    ys = np.clip((np.arange(out_h) + 0.5) * (h / out_h) - 0.5, 0, h - 1)
-    xs = np.clip((np.arange(out_w) + 0.5) * (w / out_w) - 0.5, 0, w - 1)
+def _bilinear(img, ys, xs):
+    """Sample (C,H,W) at the points (ys, xs), two broadcastable arrays of
+    pixel coordinates, with bilinear weights in the image's dtype; a point
+    beyond the border takes the edge pixel."""
+    _, h, w = img.shape
+    ys = np.clip(ys, 0, h - 1)
+    xs = np.clip(xs, 0, w - 1)
     y0 = np.floor(ys)
     x0 = np.floor(xs)
     wy = (ys - y0).astype(img.dtype)
@@ -30,10 +29,20 @@ def bilinear_resize(img, out_h, out_w):
     y1 = np.minimum(y0 + 1, h - 1)
     x0 = x0.astype(int)
     x1 = np.minimum(x0 + 1, w - 1)
+    top = img[:, y0, x0] * (1 - wx) + img[:, y0, x1] * wx
+    bot = img[:, y1, x0] * (1 - wx) + img[:, y1, x1] * wx
+    return top * (1 - wy) + bot * wy
 
-    top = img[:, y0[:, None], x0[None, :]] * (1 - wx) + img[:, y0[:, None], x1[None, :]] * wx
-    bot = img[:, y1[:, None], x0[None, :]] * (1 - wx) + img[:, y1[:, None], x1[None, :]] * wx
-    return top * (1 - wy[:, None]) + bot * wy[:, None]
+
+def bilinear_resize(img, out_h, out_w):
+    """Resample (C,H,W) to (C,out_h,out_w) with half-pixel-centered bilinear
+    weights; a sample point beyond the border takes the edge pixel."""
+    _, h, w = img.shape
+    if (out_h, out_w) == (h, w):
+        return img.copy()
+    ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
+    return _bilinear(img, ys[:, None], xs[None, :])
 
 
 def normalize_image(raw, crop=None, target=32):
@@ -68,7 +77,7 @@ def rotate_image(img, angle_deg):
     """Rotate about the image center with bilinear sampling and zero fill."""
     if angle_deg == 0.0:
         return img.copy()
-    c, h, w = img.shape
+    _, h, w = img.shape
     theta = np.deg2rad(angle_deg)
     cos, sin = np.cos(theta), np.sin(theta)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
@@ -79,20 +88,7 @@ def rotate_image(img, angle_deg):
     sy = -sin * (xx - cx) + cos * (yy - cy) + cy
 
     inside = (sx >= 0) & (sx <= w - 1) & (sy >= 0) & (sy <= h - 1)
-    x0 = np.clip(np.floor(sx).astype(int), 0, w - 1)
-    y0 = np.clip(np.floor(sy).astype(int), 0, h - 1)
-    x1 = np.clip(x0 + 1, 0, w - 1)
-    y1 = np.clip(y0 + 1, 0, h - 1)
-    fx = np.clip(sx, 0, w - 1) - x0
-    fy = np.clip(sy, 0, h - 1) - y0
-
-    out = np.empty_like(img)
-    for ch in range(c):
-        plane = img[ch]
-        top = plane[y0, x0] * (1 - fx) + plane[y0, x1] * fx
-        bot = plane[y1, x0] * (1 - fx) + plane[y1, x1] * fx
-        out[ch] = np.where(inside, top * (1 - fy) + bot * fy, 0.0)
-    return out
+    return np.where(inside, _bilinear(img, sy, sx), 0.0)
 
 
 def adjust_contrast(img, factor):

@@ -174,6 +174,8 @@ def _batch_arrays(dataset, indices):
 def _predict(net, dataset, indices, readout):
     """Eval-mode ``readout(network output)`` for the given sample indices,
     in batches of PREDICT_BATCH, as one float64 array in index order."""
+    if len(indices) == 0:
+        raise ConfigurationError("prediction needs a non-empty split")
     preds = []
     with ad.no_grad():
         for start in range(0, len(indices), PREDICT_BATCH):
@@ -201,6 +203,9 @@ def recompute_bn_stats(net, dataset, indices, batch_size):
     variance to the batch-size-weighted average of the per-batch means and
     biased variances, accumulated in float64 (Ioffe & Szegedy 2015, Alg. 2).
     """
+    batch_size = _integer("recompute_bn_stats", "batch_size", batch_size, 2)
+    if len(indices) == 0:
+        raise ConfigurationError("recompute_bn_stats needs a non-empty split")
     stats = net.running_stats()
     means = [np.zeros(s.mean.shape) for s in stats]
     variances = [np.zeros(s.var.shape) for s in stats]
@@ -222,8 +227,6 @@ def recompute_bn_stats(net, dataset, indices, batch_size):
 def evaluate(net, dataset, indices, loss_kind="euclidean"):
     """Eval-mode metrics over one split: PC, mean KL, mean Chebyshev, mean loss,
     and the predicted distributions they were computed from."""
-    if not indices:
-        raise ConfigurationError("evaluate needs a non-empty split")
     preds = predict_distributions(net, dataset, indices)
     if preds.shape[1] != len(dataset.scale):
         raise ConfigurationError(

@@ -772,6 +772,13 @@ class TestGradCheckHarness:
         with pytest.raises(ConfigurationError, match="end_to_end_check seed"):
             end_to_end_check(seed=seed)
 
+    @pytest.mark.parametrize("check", [gradient_suite, end_to_end_check])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0, -1e-5, "1e-5", True])
+    def test_a_tolerance_that_is_not_finite_and_positive_is_refused(self, check, tol):
+        # NaN and <= 0 failed every op after the whole suite ran; inf passed any error
+        with pytest.raises(ConfigurationError, match=f"{check.__name__} tol"):
+            check(tol=tol)
+
     def test_dense_with_squared_loss_passes(self):
         rng = np.random.default_rng(17)
         x = t64(rng.standard_normal((4, 3)))

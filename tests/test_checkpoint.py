@@ -13,6 +13,7 @@ from ldlnet.errors import (
     CheckpointMagicError,
     CheckpointTruncatedError,
     CheckpointVersionError,
+    LdlError,
 )
 from ldlnet.network import Network, NetworkSpec, init_weights
 
@@ -150,9 +151,16 @@ class TestHeaderSpec:
         assert key in str(exc.value)
 
 
+BAD_COUNTS = [5.9, 7.0, "7", True, False, -1, None, [1]]
+BAD_LABELS = [
+    None, "1,2,3,4,5", 5, {"a": 1}, [], [1.0], [1, 2, 3, 4, "5"], [1, 2, 3, 4, True],
+    [1, 2, 3, 4, None], [1, 2, 3, 4, float("nan")], [1, 2, 3, 4, float("inf")],
+    [1, 2, 3, 3, 5], [5, 4, 3, 2, 1], [1, 2, 3], [1, 2, 3, 4, 5, 6], [[1], 2, 3, 4, 5]]
+
+
 class TestHeaderCounters:
     @pytest.mark.parametrize("key", ["iteration", "records"])
-    @pytest.mark.parametrize("value", [5.9, 7.0, "7", True, False, -1, None, [1]])
+    @pytest.mark.parametrize("value", BAD_COUNTS)
     def test_non_integer_or_negative_is_refused(self, tmp_path, key, value):
         with pytest.raises(CheckpointError) as exc:
             ckpt_io.load(_with_header(tmp_path / "count.ckpt", **{key: value}))
@@ -182,14 +190,47 @@ class TestHeaderLabels:
         path = _with_header(tmp_path / "int.ckpt", labels=[2, 4, 6, 8, 10])
         assert ckpt_io.load(path).labels == (2.0, 4.0, 6.0, 8.0, 10.0)
 
-    @pytest.mark.parametrize("value", [
-        None, "1,2,3,4,5", 5, {"a": 1}, [], [1.0], [1, 2, 3, 4, "5"], [1, 2, 3, 4, True],
-        [1, 2, 3, 4, None], [1, 2, 3, 4, float("nan")], [1, 2, 3, 4, float("inf")],
-        [1, 2, 3, 3, 5], [5, 4, 3, 2, 1], [1, 2, 3], [1, 2, 3, 4, 5, 6], [[1], 2, 3, 4, 5]])
+    @pytest.mark.parametrize("value", BAD_LABELS)
     def test_malformed_labels_are_refused(self, tmp_path, value):
         with pytest.raises(CheckpointError) as exc:
             ckpt_io.load(_with_header(tmp_path / "labels.ckpt", labels=value))
         assert "labels" in str(exc.value)
+
+    def test_a_scalar_head_keeps_the_dataset_scale(self, tmp_path):
+        # mean regression stores the scale its targets were decoded on
+        spec = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
+                           input_size=16, num_labels=1)
+        ckpt_io.save(ckpt_io.Checkpoint(spec, labels=(1, 2, 3)), tmp_path / "scalar.ckpt")
+        assert ckpt_io.load(tmp_path / "scalar.ckpt").labels == (1.0, 2.0, 3.0)
+
+
+class TestSaveRefusesWhatLoadRefuses:
+    """The header rules live in Checkpoint, so no such file is ever written.
+    A Python None is the absent scale, which load reads as 1..num_labels."""
+
+    @staticmethod
+    def _refused(path, key, **fields):
+        with pytest.raises(LdlError) as exc:
+            ckpt_io.save(ckpt_io.Checkpoint(TOY, **fields), path)
+        assert key in str(exc.value)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", BAD_COUNTS + [2.5])
+    def test_iteration(self, tmp_path, value):
+        self._refused(tmp_path / "m.ckpt", "iteration", iteration=value)
+
+    @pytest.mark.parametrize("value", [v for v in BAD_LABELS if v is not None] + ["12345"])
+    def test_labels(self, tmp_path, value):
+        self._refused(tmp_path / "m.ckpt", "labels", labels=value)
+
+    def test_a_name_utf8_cannot_encode_writes_no_file(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            ckpt_io.save(ckpt_io.Checkpoint(TOY, {"\ud800": np.zeros(1)}), tmp_path / "m.ckpt")
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_numbers_are_normalized_as_load_returns_them(self):
+        ckpt = ckpt_io.Checkpoint(TOY, iteration=np.int64(3), labels=np.arange(1, 6))
+        assert type(ckpt.iteration) is int and ckpt.labels == (1.0, 2.0, 3.0, 4.0, 5.0)
 
 
 def _one_record_file(path, record, name=b"w"):

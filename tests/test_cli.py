@@ -299,13 +299,17 @@ class TestExitCodes:
         assert "score scale" in capsys.readouterr().err
 
     def test_checkpoint_with_malformed_labels_is_three(self, tmp_path, capsys):
+        # save refuses these labels, so the header is written by hand
+        import json
+        from dataclasses import asdict
+
         from ldlnet import checkpoint as ckpt_io
-        from ldlnet.network import Network, NetworkSpec, init_weights
-        net = Network(NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
-                                  input_size=16))
-        init_weights(net, 0)
+        from ldlnet.network import NetworkSpec
+        header = json.dumps({"spec": asdict(NetworkSpec()), "iteration": 0, "records": 0,
+                             "labels": [5, 4, 3, 2, 1]}).encode("utf-8")
         path = tmp_path / "m.ckpt"
-        ckpt_io.save(ckpt_io.Checkpoint.from_network(net, labels=(5, 4, 3, 2, 1)), path)
+        path.write_bytes(ckpt_io.MAGIC + struct.pack("<II", ckpt_io.VERSION, len(header))
+                         + header)
         assert main(["predict", "--ckpt", str(path), "--image", "unread.ppm"]) == 3
         assert "labels" in capsys.readouterr().err
 
@@ -397,6 +401,45 @@ class TestExitCodes:
         assert "seed must be >= 0, got -1" in captured.err
         assert "op " not in captured.out   # refused before any gradient check runs
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag,value", [("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"),
+                                            ("--tol", "inf"), ("--e2e-tol", "0")])
+    def test_bad_tolerance_is_one_before_the_suite(self, capsys, monkeypatch, flag, value):
+        # each ran the whole suite and exited 6, "gradient suite FAIL"
+        from ldlnet import gradcheck
+        for name in ("gradient_suite", "end_to_end_check"):
+            monkeypatch.setattr(gradcheck, name, lambda *a, **k: pytest.fail("the suite ran"))
+        assert main(["gradcheck", flag, value]) == 1
+        assert "tol must be a finite number > 0" in capsys.readouterr().err
+
+    def test_index_name_with_a_comma_is_one(self, tmp_path, capsys):
+        # the rows read back as 'a', 'b_images/img_00000.ppm' and the labels
+        assert main(["synth", "--out", str(tmp_path / "a,b.idx"), "--n", "2", "--raters", "3",
+                     "--image-size", "16"]) == 1
+        assert "save_index image path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("bad,message", [("absent/x", "output directory not found"),
+                                             ("taken", "output path is a directory")])
+    @pytest.mark.parametrize("verb,flag", [("train", "--out"), ("train", "--metrics"),
+                                           ("eval", "--out")])
+    def test_output_that_cannot_be_written_is_two_before_any_work(
+            self, tmp_path, capsys, monkeypatch, verb, flag, bad, message):
+        # train trained every iteration (and wrote the checkpoint before a bad
+        # --metrics), and eval printed its whole evaluation, then each exited 2
+        from ldlnet import checkpoint, data, training
+        for owner, name in ((data, "load_index"), (training, "train"), (checkpoint, "load")):
+            monkeypatch.setattr(owner, name, lambda *a, **k: pytest.fail("worked first"))
+        (tmp_path / "taken").mkdir()
+        paths = {"train": {"--out": "m.ckpt", "--metrics": "m.csv"},
+                 "eval": {"--ckpt": "m.ckpt", "--out": "e.csv"}}[verb]
+        paths[flag] = bad
+        argv = [verb, "--data", str(tmp_path / "d.idx")]
+        for key, name in paths.items():
+            argv += [key, str(tmp_path / name)]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 @pytest.fixture(scope="module")

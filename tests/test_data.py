@@ -141,6 +141,31 @@ class TestAugmentPrimitives:
         assert np.allclose(out[1:], 0.5, atol=1e-6)
 
 
+    @pytest.mark.parametrize("angle", [-15.0, -6.5, 4.0, 13.0, 90.0])
+    def test_rotation_matches_a_per_pixel_bilinear_loop(self, angle):
+        # float64 reference that fills 0 where the source point leaves the image
+        img = np.random.default_rng(7).uniform(size=(3, 9, 12)).astype(np.float32)
+        _, h, w = img.shape
+        cos, sin = np.cos(np.deg2rad(angle)), np.sin(np.deg2rad(angle))
+        cy, cx = (h - 1) / 2, (w - 1) / 2
+        want = np.zeros(img.shape)
+        for i in range(h):
+            for j in range(w):
+                sx = cos * (j - cx) + sin * (i - cy) + cx
+                sy = -sin * (j - cx) + cos * (i - cy) + cy
+                if not (0 <= sx <= w - 1 and 0 <= sy <= h - 1):
+                    continue
+                x0, y0 = int(sx), int(sy)
+                x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+                fx, fy = sx - x0, sy - y0
+                want[:, i, j] = ((1 - fy) * ((1 - fx) * img[:, y0, x0] + fx * img[:, y0, x1])
+                                 + fy * ((1 - fx) * img[:, y1, x0] + fx * img[:, y1, x1]))
+        got = rotate_image(img, angle)
+        assert got.dtype == np.float32
+        # pixels lie in [0, 1), so 2 ulps of 1.0 bound 2 ulps of any of them
+        assert np.abs(got - want).max() <= 2 * np.spacing(np.float32(1.0))
+
+
 class TestAugmentAndExpand:
     def _sample(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -386,6 +411,27 @@ class TestIndexFiles:
         with pytest.raises(ConfigurationError, match="save_index labels"):
             save_index(ds, tmp_path / "d.idx", labels=labels)
         assert not (tmp_path / "d.idx").exists()
+
+    @pytest.mark.parametrize("name", ["a,b.idx", "#a.idx", " a.idx", "a\nb.idx"])
+    def test_index_name_the_reader_would_misparse_is_refused(self, tmp_path, name):
+        # "a,b.idx" wrote rows in which load_index saw 'b_images/img_00000.ppm'
+        # as an unrecognized field; "#a.idx" rows read as comments
+        ds = synth_dataset(2, raters=3, seed=0, image_size=16)
+        with pytest.raises(ConfigurationError, match="save_index image path"):
+            save_index(ds, tmp_path / name)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ratings_rows_of_unrated_samples_are_refused_before_any_file(self, tmp_path):
+        # the first image was written before sample 0's missing ratings were noticed
+        ds = load_index(save_index(synth_dataset(2, raters=3, seed=0, image_size=16),
+                                   tmp_path / "d.idx", labels="dist"))
+        with pytest.raises(ValidationError, match="sample 0 has no ratings"):
+            save_index(ds, tmp_path / "r.idx", labels="ratings")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.idx", "d_images"]
+
+    def test_inner_space_in_the_index_name_round_trips(self, tmp_path):
+        ds = synth_dataset(2, raters=3, seed=0, image_size=16)
+        assert load_index(save_index(ds, tmp_path / "my faces.idx")).n == 2
 
     def test_malformed_label_token(self, tmp_path):
         write_ppm(tmp_path / "a.ppm", np.zeros((3, 8, 8), dtype=np.float32))

@@ -57,6 +57,16 @@ class TestScoreScale:
         with pytest.raises(ValidationError, match="sequence of numbers"):
             ScoreScale(labels=labels)
 
+    @pytest.mark.parametrize("labels", ["12345", b"12345", ("1", "2"), (1, True),
+                                        (0, 1.5, np.True_), np.array(["1", "2"])])
+    def test_rejects_text_and_bools_that_float_would_read(self, labels):
+        # float("1") and float(True) succeed, so "12345" became the levels 1..5
+        with pytest.raises(ValidationError, match="sequence of numbers"):
+            ScoreScale(labels=labels)
+
+    def test_numpy_numbers_are_labels(self):
+        assert ScoreScale(np.arange(1, 4)).labels == (1.0, 2.0, 3.0)
+
 
 class TestDistributionFromRatings:
     def test_single_bin(self):

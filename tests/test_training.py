@@ -351,6 +351,13 @@ class TestEvaluate:
         with pytest.raises(ConfigurationError):
             evaluate(net, ds, [])
 
+    @pytest.mark.parametrize("predict", [predict_distributions, predict_scalar_scores])
+    def test_empty_split_is_refused_by_the_predictors(self, predict):
+        # a raw ValueError from np.concatenate of no batches
+        ds = toy_dataset(16, seed=10, train=12)
+        with pytest.raises(ConfigurationError, match="non-empty split"):
+            predict(Network(TOY), ds, [])
+
 
 class TestPopulationBnStats:
     """The returned checkpoint carries batch-norm statistics recomputed over
@@ -394,6 +401,21 @@ class TestPopulationBnStats:
         init_weights(net, 15)
         recompute_bn_stats(net, ds, ds.train_idx, 10)
         self._check(Checkpoint.from_network(net), ds, 10)
+
+    @pytest.mark.parametrize("indices,batch_size", [([], 2), (None, 0), (None, 1),
+                                                    (None, 1.5), (None, True)])
+    def test_refusal_leaves_the_statistics_unchanged(self, indices, batch_size):
+        # [] set every statistic to NaN; 0 and 1.5 raised a raw ValueError and TypeError
+        ds = toy_dataset(24, seed=16, train=20)
+        net = Network(TOY)
+        init_weights(net, 16)
+        recompute_bn_stats(net, ds, ds.train_idx, 10)
+        before = {k: v.copy() for k, v in net.state_dict().items()}
+        with pytest.raises(ConfigurationError):
+            recompute_bn_stats(net, ds, ds.train_idx if indices is None else indices,
+                               batch_size)
+        after = net.state_dict()
+        assert all(np.array_equal(before[k], after[k]) for k in before)
 
     def test_mean_regression_checkpoint_has_population_stats(self):
         ds = toy_dataset(64, seed=14, train=48)
