@@ -19,9 +19,9 @@ round trip is bit-exact. Running batch-norm statistics are stored as records
 alongside the parameters under their ``*.running_mean`` / ``*.running_var``
 names.
 
-The header's rules live in :class:`Checkpoint`, which checks them when it is
-built, so ``save`` refuses every header ``load`` refuses, before it opens
-the file; ``load`` itself checks only the file's structure.
+The rules of the header and the records live in :class:`Checkpoint`, which
+checks them when it is built, so ``save`` refuses what ``load`` refuses
+before it opens the file; ``load`` itself checks only the file's structure.
 """
 
 from __future__ import annotations
@@ -59,6 +59,17 @@ class Checkpoint:
     labels: tuple | None = None   # the score scale's labels; None means 1..num_labels
 
     def __post_init__(self):
+        state = {}
+        for name, value in self.state.items():
+            try:
+                value = np.asarray(value)
+            except ValueError:   # a ragged nesting
+                value = None
+            if not isinstance(name, str) or value is None or value.dtype.kind not in "iuf":
+                raise ConfigurationError(
+                    f"Checkpoint state needs str names and numeric arrays, got {name!r}")
+            state[name] = value.astype(np.float32, copy=False)
+        object.__setattr__(self, "state", state)
         object.__setattr__(self, "iteration", _integer("Checkpoint", "iteration", self.iteration, 0))
         if self.labels is not None:
             labels = ScoreScale(self.labels).labels
@@ -69,8 +80,7 @@ class Checkpoint:
 
     @classmethod
     def from_network(cls, network, iteration=0, labels=None):
-        state = {k: np.asarray(v, dtype=np.float32) for k, v in network.state_dict().items()}
-        return cls(spec=network.spec, state=state, iteration=iteration, labels=labels)
+        return cls(network.spec, network.state_dict(), iteration, labels)
 
     @property
     def scale(self):
@@ -90,7 +100,7 @@ def save(ckpt, path):
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
         for name, nb in names:
-            arr = np.ascontiguousarray(ckpt.state[name], dtype=np.float32)
+            arr = np.ascontiguousarray(ckpt.state[name])
             fh.write(struct.pack("<I", len(nb)))
             fh.write(nb)
             fh.write(struct.pack("<I", arr.ndim))
@@ -128,13 +138,13 @@ def load(path):
             n_records = _integer("header", "records", header["records"], 0)
             if "labels" in header and header["labels"] is None:   # null is not an absent key
                 raise CheckpointError("header labels must be a list of numbers, got null")
-            ckpt = Checkpoint(NetworkSpec(**spec), iteration=header["iteration"],
-                              labels=header.get("labels"))
+            spec = NetworkSpec(**spec)
         except CheckpointError:
             raise
-        except Exception as exc:   # not JSON, or a rule of NetworkSpec or Checkpoint
+        except Exception as exc:   # not JSON, or a rule of NetworkSpec
             raise CheckpointError(f"bad checkpoint header: {exc}") from exc
 
+        state = {}
         for i in range(n_records):
             nlen = struct.unpack("<I", _read_exact(fh, 4, f"record {i} name length"))[0]
             try:
@@ -148,9 +158,12 @@ def load(path):
                 count *= d
             raw = _read_exact(fh, 4 * count, f"record {i} values ({name})")
             try:
-                ckpt.state[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+                state[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
             except ValueError as exc:   # a zero dim beside one numpy cannot hold
                 raise CheckpointError(f"record {i} ({name}) has dims {dims}: {exc}") from exc
         if fh.read(1):
             raise CheckpointError("trailing bytes after the declared records")
-    return ckpt
+    try:
+        return Checkpoint(spec, state, header["iteration"], header.get("labels"))
+    except Exception as exc:   # a header rule of Checkpoint
+        raise CheckpointError(f"bad checkpoint header: {exc}") from exc

@@ -41,6 +41,7 @@ from .errors import (
     UndefinedCorrelationError,
     ValidationError,
     _integer,
+    _real,
 )
 from .network import BLOCK_LAYOUTS, Network, NetworkSpec
 from .training import TrainConfig
@@ -69,25 +70,27 @@ _SPEC_OPTS = {
     "input_size": (int, NetworkSpec.input_size, "square network input side"),
 }
 
-_TRAIN_OPTS = {
-    "batch": (int, TrainConfig.batch_size, "mini-batch size"),
-    "lr": (float, TrainConfig.base_lr, "base learning rate"),
-    "lr_step": (int, TrainConfig.lr_step, "iterations per learning-rate step"),
-    "lr_factor": (float, TrainConfig.lr_factor, "learning-rate decay factor per step"),
-    "iters": (int, TrainConfig.max_iter, "total training iterations"),
-    "weight_decay": (float, TrainConfig.weight_decay, "L2 weight decay"),
-    "momentum": (float, TrainConfig.momentum, "SGD momentum"),
-    "last_lr_mult": (float, TrainConfig.last_layer_lr_mult,
-                     "learning-rate multiplier for the final layer"),
-    "last_decay_mult": (float, TrainConfig.last_layer_decay_mult,
+# train flag -> (TrainConfig field, kind, help); the field's default is the flag's
+_TRAIN_FLAGS = {
+    "seed": ("seed", int, "random seed"),
+    "batch": ("batch_size", int, "mini-batch size"),
+    "lr": ("base_lr", float, "base learning rate"),
+    "lr_step": ("lr_step", int, "iterations per learning-rate step"),
+    "lr_factor": ("lr_factor", float, "learning-rate decay factor per step"),
+    "iters": ("max_iter", int, "total training iterations"),
+    "weight_decay": ("weight_decay", float, "L2 weight decay"),
+    "momentum": ("momentum", float, "SGD momentum"),
+    "last_lr_mult": ("last_layer_lr_mult", float, "learning-rate multiplier for the final layer"),
+    "last_decay_mult": ("last_layer_decay_mult", float,
                         "weight-decay multiplier for the final layer"),
-    "loss": (LOSS_KINDS, TrainConfig.loss, "training loss"),
-    "augment_factor": (int, TrainConfig.augment_factor, "train-split expansion factor"),
-    "eval_every": (int, TrainConfig.eval_every, "iterations between metric evaluations"),
-    "train_frac": (float, 0.8, "train fraction when counts are not given"),
-    "train_count": (int, None, "explicit train split size"),
-    "test_count": (int, None, "explicit test split size"),
+    "loss": ("loss", LOSS_KINDS, "training loss"),
+    "augment_factor": ("augment_factor", int, "train-split expansion factor"),
+    "eval_every": ("eval_every", int, "iterations between metric evaluations"),
 }
+
+_TRAIN_OPTS = {flag: (kind, getattr(TrainConfig, name), help_text)
+               for flag, (name, kind, help_text) in _TRAIN_FLAGS.items()}
+
 
 def _flag(name):
     return "--" + name.replace("_", "-")
@@ -190,21 +193,7 @@ def _spec_from(cmd):
 
 
 def _train_config(cmd):
-    return TrainConfig(
-        batch_size=cmd.batch,
-        base_lr=cmd.lr,
-        lr_step=cmd.lr_step,
-        lr_factor=cmd.lr_factor,
-        max_iter=cmd.iters,
-        weight_decay=cmd.weight_decay,
-        last_layer_lr_mult=cmd.last_lr_mult,
-        last_layer_decay_mult=cmd.last_decay_mult,
-        momentum=cmd.momentum,
-        loss=cmd.loss,
-        augment_factor=cmd.augment_factor,
-        seed=cmd.seed,
-        eval_every=cmd.eval_every,
-    )
+    return TrainConfig(**{name: getattr(cmd, flag) for flag, (name, _, _) in _TRAIN_FLAGS.items()})
 
 
 def _check_outputs(*paths):
@@ -242,6 +231,7 @@ def _network_from_checkpoint(path):
 # ---------------------------------------------------------------------------
 
 def _run_synth(cmd):
+    _check_outputs(cmd.out)
     ds = synth.synth_dataset(cmd.n, raters=cmd.raters, noise_sd=cmd.noise_sd,
                              bimodal_fraction=cmd.bimodal_fraction, seed=cmd.seed,
                              image_size=cmd.image_size)
@@ -316,8 +306,8 @@ def _run_predict(cmd):
 def _run_gradcheck(cmd):
     # a bad seed or tolerance is refused before the suite's draws
     _integer("end_to_end_check", "seed", cmd.seed, 0)
-    gradcheck._tolerance("gradient_suite", cmd.tol)
-    gradcheck._tolerance("end_to_end_check", cmd.e2e_tol)
+    _real("gradient_suite", "tol", cmd.tol, 0)
+    _real("end_to_end_check", "tol", cmd.e2e_tol, 0)
     worst, ok = gradcheck.gradient_suite(num_seeds=cmd.seeds, tol=cmd.tol)
     for name in sorted(worst):
         status = "ok" if worst[name] <= cmd.tol else "FAIL"
@@ -333,6 +323,7 @@ def _run_gradcheck(cmd):
 
 
 def _run_export(cmd):
+    _check_outputs(cmd.out)
     if cmd.kind == "checkpoint":
         ckpt = checkpoint.load(cmd.src)
         checkpoint.save(ckpt, cmd.out)
@@ -361,8 +352,10 @@ _VERBS = {
         "data": (str, REQUIRED, "dataset index path"),
         "out": (str, REQUIRED, "output checkpoint path"),
         "metrics": (str, None, "metrics CSV path (default <out>.metrics.csv)"),
-        "seed": (int, TrainConfig.seed, "random seed"),
         **_TRAIN_OPTS,
+        "train_frac": (float, 0.8, "train fraction when counts are not given"),
+        "train_count": (int, None, "explicit train split size"),
+        "test_count": (int, None, "explicit test split size"),
         **_SPEC_OPTS,
     }),
     "eval": ("evaluate a checkpoint: PC, mean KL, mean Chebyshev, per-sample CSV", _run_eval, {

@@ -25,6 +25,7 @@ from .errors import (
     RangeError,
     ValidationError,
     _integer,
+    _real,
 )
 from .imageio import read_image, write_ppm
 from .imaging import ColorPCA, adjust_contrast, normalize_image, pca_color_shift, rotate_image
@@ -67,9 +68,7 @@ def split(dataset, train_fraction=None, counts=None, seed=0):
         if tr + te > n:
             raise ConfigurationError(f"split counts {counts} exceed dataset size {n}")
     elif train_fraction is not None:
-        if not 0.0 < train_fraction < 1.0:
-            raise ConfigurationError(f"train_fraction must be in (0,1), got {train_fraction}")
-        tr = int(round(train_fraction * n))
+        tr = int(round(_real("split", "train_fraction", train_fraction, 0, 1) * n))
         te = n - tr
     else:
         raise ConfigurationError("split needs either train_fraction or counts")
@@ -133,9 +132,7 @@ def expand(dataset, factor, seed=0):
 
 def _format_value(v):
     f = float(v)
-    if f == int(f):
-        return str(int(f))
-    return f"{f:.10g}"
+    return str(int(f)) if f == int(f) else repr(f)   # exact, so it reads back unchanged
 
 
 def save_index(dataset, index_path, labels="auto"):
@@ -158,7 +155,8 @@ def save_index(dataset, index_path, labels="auto"):
     unrated = [i for i, s in enumerate(dataset.samples) if s.ratings is None]
     if labels == "ratings" and unrated:
         raise ValidationError(f"sample {unrated[0]} has no ratings to export")
-    os.makedirs(os.path.join(base, rel_dir), exist_ok=True)
+    if not os.path.isdir(os.path.join(base, rel_dir)):
+        os.mkdir(os.path.join(base, rel_dir))   # not its parents: a missing one is refused
     lines = []
     for i, s in enumerate(dataset.samples):
         rel = os.path.join(rel_dir, f"img_{i:05d}.ppm")
@@ -211,8 +209,8 @@ def _row_labels(token, lineno, scale):
     return None, validate_distribution(vals / total)
 
 
-def load_index(index_path, scale=None, image_size=None):
-    """Read an index file into a Dataset (all samples in the train split).
+def load_index(index_path, image_size=None):
+    """Read an index file into a Dataset on the 1-5 ScoreScale (all samples in the train split).
 
     When ``image_size`` is given every image is normalized (crop, square
     zero-pad, resize); otherwise images are kept at their stored size and
@@ -220,7 +218,7 @@ def load_index(index_path, scale=None, image_size=None):
     """
     if image_size is not None:
         image_size = _integer("load_index", "image_size", image_size, 1)
-    scale = scale or ScoreScale()
+    scale = ScoreScale()
     index_path = str(index_path)
     if not os.path.exists(index_path):
         raise FileNotFoundError(f"index file not found: {index_path}")

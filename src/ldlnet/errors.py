@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one integer check
-every entry point uses."""
+"""Exception types shared across the package, and the integer and real
+checks every entry point uses."""
 
+import math
 import numbers
 
 
@@ -26,6 +27,22 @@ def _integer(op, name, value, least=None):
     if least is not None and value < least:
         raise ConfigurationError(f"{op} {name} must be >= {least}, got {value}")
     return int(value)
+
+
+def _real(op, name, value, low, high=math.inf, closed=False):
+    """``value`` as a float between ``low`` and ``high``, open unless ``closed``;
+    ConfigurationError for anything else, NaN, infinities, bools and strings included."""
+    number = math.nan
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:   # an integer beyond the float range
+            pass
+    if not math.isfinite(number) or not (low <= number <= high if closed else low < number < high):
+        where = (f"{'>=' if closed else '>'} {low}" if high == math.inf else
+                 f"in {'[' if closed else '('}{low}, {high}{']' if closed else ')'}")
+        raise ConfigurationError(f"{op} {name} must be a finite number {where}, got {value!r}")
+    return number
 
 
 class RangeError(LdlError):

@@ -7,15 +7,13 @@ would drown the comparison.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from . import distributions as ldl
-from .errors import ConfigurationError, _integer
+from .errors import ConfigurationError, _integer, _real
 
 REL_ERR_FLOOR = 1e-8   # denominator floor when the numeric gradient is tiny
 ABS_SKIP = 1e-10       # treat |analytic - numeric| below this as exact
@@ -90,8 +88,8 @@ def grad_check(named_params, loss_fn, eps=1e-5, tol=1e-5, max_per_param=None, se
     from the current parameter values on each call. Above ``max_per_param``
     elements, a deterministic random subset of each tensor is probed.
     """
+    report = GradCheckReport(_real("grad_check", "eps", eps, 0), _real("grad_check", "tol", tol, 0))
     params = list(named_params)
-    report = GradCheckReport(eps=eps, tol=tol)
     for name, t in params:
         if t.dtype != np.float64:
             raise ConfigurationError(
@@ -215,13 +213,6 @@ def _op_cases(rng):
     return cases
 
 
-def _tolerance(op, tol):
-    """ConfigurationError unless ``tol`` is a finite number > 0: no error
-    passes a NaN or non-positive tolerance, and none fails an infinite one."""
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 < tol < math.inf:
-        raise ConfigurationError(f"{op} tol must be a finite number > 0, got {tol!r}")
-
-
 def gradient_suite(num_seeds=50, tol=1e-5):
     """Run every op case over ``num_seeds`` random draws, each with
     :func:`grad_check`'s default step eps = 1e-5.
@@ -229,7 +220,7 @@ def gradient_suite(num_seeds=50, tol=1e-5):
     Returns (per-op max rel err dict, passed flag).
     """
     _integer("gradient_suite", "num_seeds", num_seeds, 1)
-    _tolerance("gradient_suite", tol)
+    tol = _real("gradient_suite", "tol", tol, 0)
     worst = {}
     for s in range(num_seeds):
         rng = np.random.default_rng(1000 + s)
@@ -255,7 +246,7 @@ def end_to_end_check(seed=0, tol=1e-4):
     from .network import Network, NetworkSpec, init_weights
 
     _integer("end_to_end_check", "seed", seed, 0)
-    _tolerance("end_to_end_check", tol)
+    tol = _real("end_to_end_check", "tol", tol, 0)
     spec = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
                        input_size=16)
     net = Network(spec, dtype=np.float64)

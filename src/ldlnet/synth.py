@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import Dataset, Sample
 from .distributions import ScoreScale, distribution_from_ratings, weighted_mean
-from .errors import ConfigurationError, _integer
+from .errors import _integer, _real
 
 INK = 0.08          # feature darkness
 BACKGROUND = 0.92   # canvas brightness
@@ -91,10 +91,8 @@ def synth_dataset(n, raters=70, noise_sd=0.4, bimodal_fraction=0.1, seed=0, imag
     n = _integer("synth_dataset", "n", n, 2)
     raters = _integer("synth_dataset", "raters", raters, 1)
     image_size = _integer("synth_dataset", "image_size", image_size, 16)
-    if not 0 <= noise_sd < np.inf:
-        raise ConfigurationError(f"noise_sd must be finite and >= 0, got {noise_sd}")
-    if not 0.0 <= bimodal_fraction <= 1.0:
-        raise ConfigurationError(f"bimodal_fraction must be in [0,1], got {bimodal_fraction}")
+    noise_sd = _real("synth_dataset", "noise_sd", noise_sd, 0, closed=True)
+    bimodal_fraction = _real("synth_dataset", "bimodal_fraction", bimodal_fraction, 0, 1, True)
     _integer("synth_dataset", "seed", seed, 0)
 
     scale = ScoreScale()

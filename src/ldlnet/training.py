@@ -36,7 +36,7 @@ from .distributions import (
     kl_loss,
     pearson,
 )
-from .errors import ConfigurationError, NumericalError, UndefinedCorrelationError, _integer
+from .errors import ConfigurationError, NumericalError, UndefinedCorrelationError, _integer, _real
 from .network import Network, init_weights
 
 PREDICT_BATCH = 64   # images per eval-mode forward in the prediction loop
@@ -58,27 +58,16 @@ class TrainConfig:
     eval_every: int = 500
 
     def __post_init__(self):
-        for name in ("batch_size", "lr_step", "max_iter", "augment_factor", "eval_every"):
-            _integer("TrainConfig", name, getattr(self, name))
-        _integer("TrainConfig", "seed", self.seed, 0)
-        if self.batch_size < 2:
-            raise ConfigurationError(f"batch_size must be >= 2 (batch norm), got {self.batch_size}")
-        for name in ("base_lr", "lr_step", "max_iter", "last_layer_lr_mult",
-                     "last_layer_decay_mult", "eval_every"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("base_lr", "weight_decay", "momentum", "last_layer_lr_mult",
-                     "last_layer_decay_mult"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 < self.lr_factor < 1.0:
-            raise ConfigurationError(f"lr_factor must be in (0,1), got {self.lr_factor}")
-        if self.weight_decay < 0 or self.momentum < 0:
-            raise ConfigurationError("weight_decay and momentum must be >= 0")
+        # batch_size >= 2: train-mode batch norm needs two samples
+        for name, check, *bounds in (
+                ("batch_size", _integer, 2), ("lr_step", _integer, 1), ("max_iter", _integer, 1),
+                ("augment_factor", _integer, 1), ("eval_every", _integer, 1), ("seed", _integer, 0),
+                ("base_lr", _real, 0), ("lr_factor", _real, 0, 1),
+                ("weight_decay", _real, 0, math.inf, True), ("momentum", _real, 0, math.inf, True),
+                ("last_layer_lr_mult", _real, 0), ("last_layer_decay_mult", _real, 0)):
+            object.__setattr__(self, name, check("TrainConfig", name, getattr(self, name), *bounds))
         if self.loss not in LOSS_KINDS:
             raise ConfigurationError(f"loss must be one of {LOSS_KINDS}, got {self.loss!r}")
-        if self.augment_factor < 1:
-            raise ConfigurationError(f"augment_factor must be >= 1, got {self.augment_factor}")
 
 
 def lr_at(config, iteration):

@@ -323,6 +323,13 @@ class TestBatchNorm:
             assert abs(out[:, c].mean()) < 1e-5
             assert abs(out[:, c].var() - 1.0) < 1e-3  # eps shrinks it slightly
 
+    def test_eval_without_stats_and_an_unknown_mode_are_refused(self):
+        x, gamma, beta = t64(np.ones((2, 3, 2, 2))), t64(np.ones(3)), t64(np.zeros(3))
+        with pytest.raises(ConfigurationError, match="eval mode requires running stats"):
+            ad.batch_norm(x, gamma, beta, mode="eval")
+        with pytest.raises(ConfigurationError, match="mode must be 'train' or 'eval'"):
+            ad.batch_norm(x, gamma, beta, mode="test", stats=ad.RunningStats(3))
+
     def test_zero_gamma_gives_beta(self):
         rng = np.random.default_rng(4)
         x = t64(rng.standard_normal((4, 2, 3, 3)))
@@ -434,6 +441,10 @@ class TestPool:
         x = t64([[[[1.0, 2.0], [3.0, 4.0]]]])
         assert ad.pool(x, "max", 2).data[0, 0, 0, 0] == 4.0
 
+    def test_unknown_mode_is_refused(self):
+        with pytest.raises(ConfigurationError, match="pool mode must be 'max' or 'avg'"):
+            ad.pool(t64(np.ones((1, 1, 2, 2))), "min", 2)
+
     def test_avg_definition(self):
         x = t64([[[[1.0, 2.0], [3.0, 4.0]]]])
         assert ad.pool(x, "avg", 2).data[0, 0, 0, 0] == 2.5
@@ -516,6 +527,11 @@ class TestSoftmax:
         out = ad.softmax(t64(np.zeros((1, 5))))
         assert np.allclose(out.data, 0.2)
 
+    def test_a_single_column_is_refused(self):
+        # one level would always read 1.0
+        with pytest.raises(DimensionError, match="c >= 2"):
+            ad.softmax(t64(np.zeros((3, 1))))
+
     def test_no_overflow_at_large_logit(self):
         z = np.zeros((1, 5))
         z[0, 0] = 1000.0
@@ -539,6 +555,12 @@ class TestSoftmax:
 
 
 class TestTapeProperties:
+    def test_backward_of_a_non_scalar_is_refused(self):
+        x = t64(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(DimensionError, match="needs a scalar loss, got shape"):
+            ad.relu(x).backward()
+        assert x.grad is None
+
     def test_forward_determinism_is_bitwise(self):
         rng = np.random.default_rng(14)
         x = np.asarray(rng.standard_normal((4, 3, 8, 8)), dtype=np.float32)
@@ -778,6 +800,27 @@ class TestGradCheckHarness:
         # NaN and <= 0 failed every op after the whole suite ran; inf passed any error
         with pytest.raises(ConfigurationError, match=f"{check.__name__} tol"):
             check(tol=tol)
+
+    @pytest.mark.parametrize("knob,value", [("eps", 0), ("eps", -1e-5), ("eps", float("nan")),
+                                            ("tol", float("nan")), ("tol", 0), ("tol", "1e-5")])
+    def test_a_step_or_tolerance_that_is_not_finite_and_positive_is_refused(self, knob, value):
+        # eps 0 divided by zero, -1e-5 passed as +1e-5, NaN failed every parameter;
+        # tol NaN and 0 failed every parameter with a 0.0 error
+        w = t64(np.ones(2), requires_grad=True)
+        with pytest.raises(ConfigurationError, match=f"grad_check {knob} must be a finite num"):
+            grad_check([("w", w)], lambda: ad.tsum(ad.mul(w, w)), **{knob: value})
+
+    def test_summary_lists_each_parameter_and_the_verdict(self):
+        w = t64(np.ones(2), requires_grad=True)
+        rep = grad_check([("w", w)], lambda: ad.tsum(ad.mul(w, w)))
+        assert rep.summary().splitlines() == [
+            "gradcheck eps=1e-05 tol=1e-05",
+            "  w: checked 2 elements, max rel err 0.000e+00",
+            "  overall max rel err 0.000e+00 -> PASS"]
+        rep = grad_check([("w", w)], lambda: ad.tsum(ad.mul_const(w, np.array([1.0, np.nan]))))
+        lines = rep.summary().splitlines()
+        assert lines[1].startswith("  FAILURE: non-finite loss in forward pass")
+        assert lines[2].endswith("-> FAIL")
 
     def test_dense_with_squared_loss_passes(self):
         rng = np.random.default_rng(17)

@@ -223,6 +223,14 @@ class TestSaveRefusesWhatLoadRefuses:
     def test_labels(self, tmp_path, value):
         self._refused(tmp_path / "m.ckpt", "labels", labels=value)
 
+    @pytest.mark.parametrize("state", [
+        {1: np.zeros(1)}, {"a": np.zeros(1), 2: np.zeros(1)}, {"a": "x"}, {"a": None},
+        {"a": [[1.0], [1.0, 2.0]]}, {"a": np.array([True])}])
+    def test_state(self, tmp_path, state):
+        # a raw AttributeError, a raw TypeError, a raw ValueError after a
+        # 326-byte file, a silent NaN record, a raw ValueError, a 1.0 record
+        self._refused(tmp_path / "m.ckpt", "state", state=state)
+
     def test_a_name_utf8_cannot_encode_writes_no_file(self, tmp_path):
         with pytest.raises(UnicodeEncodeError):
             ckpt_io.save(ckpt_io.Checkpoint(TOY, {"\ud800": np.zeros(1)}), tmp_path / "m.ckpt")
@@ -231,6 +239,11 @@ class TestSaveRefusesWhatLoadRefuses:
     def test_numbers_are_normalized_as_load_returns_them(self):
         ckpt = ckpt_io.Checkpoint(TOY, iteration=np.int64(3), labels=np.arange(1, 6))
         assert type(ckpt.iteration) is int and ckpt.labels == (1.0, 2.0, 3.0, 4.0, 5.0)
+
+    def test_values_are_stored_as_float32_arrays(self):
+        state = ckpt_io.Checkpoint(TOY, {"a": [1, 2], "b": np.float64(0.5)}).state
+        assert {k: (v.dtype, v.shape) for k, v in state.items()} == {
+            "a": (np.float32, (2,)), "b": (np.float32, ())}
 
 
 def _one_record_file(path, record, name=b"w"):

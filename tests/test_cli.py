@@ -140,7 +140,7 @@ class TestOptionTable:
     def test_non_finite_learning_rate_fails_before_loading_data(self, tmp_path, capsys):
         assert main(["train", "--data", str(tmp_path / "absent.idx"), "--out", "m",
                      "--lr", "nan"]) == 1
-        assert "base_lr must be finite" in capsys.readouterr().err
+        assert "base_lr must be a finite number" in capsys.readouterr().err
 
 
 _RLIMITED_MAIN = """
@@ -422,19 +422,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("bad,message", [("absent/x", "output directory not found"),
                                              ("taken", "output path is a directory")])
     @pytest.mark.parametrize("verb,flag", [("train", "--out"), ("train", "--metrics"),
-                                           ("eval", "--out")])
+                                           ("eval", "--out"), ("synth", "--out"),
+                                           ("export --kind checkpoint", "--out"),
+                                           ("export --kind dataset", "--out")])
     def test_output_that_cannot_be_written_is_two_before_any_work(
             self, tmp_path, capsys, monkeypatch, verb, flag, bad, message):
         # train trained every iteration (and wrote the checkpoint before a bad
-        # --metrics), and eval printed its whole evaluation, then each exited 2
-        from ldlnet import checkpoint, data, training
-        for owner, name in ((data, "load_index"), (training, "train"), (checkpoint, "load")):
+        # --metrics), and eval printed its whole evaluation, then each exited 2;
+        # a checkpoint export loaded its source first; synth and a dataset
+        # export created the missing directory and exited 0
+        from ldlnet import checkpoint, data, synth, training
+        for owner, name in ((data, "load_index"), (training, "train"), (checkpoint, "load"),
+                            (synth, "synth_dataset")):
             monkeypatch.setattr(owner, name, lambda *a, **k: pytest.fail("worked first"))
         (tmp_path / "taken").mkdir()
-        paths = {"train": {"--out": "m.ckpt", "--metrics": "m.csv"},
-                 "eval": {"--ckpt": "m.ckpt", "--out": "e.csv"}}[verb]
+        paths = {"train": {"--data": "d.idx", "--out": "m.ckpt", "--metrics": "m.csv"},
+                 "eval": {"--data": "d.idx", "--ckpt": "m.ckpt", "--out": "e.csv"},
+                 "synth": {"--out": "s.idx"},
+                 "export --kind checkpoint": {"--src": "m.ckpt", "--out": "x.ckpt"},
+                 "export --kind dataset": {"--src": "d.idx", "--out": "e.idx"}}[verb]
         paths[flag] = bad
-        argv = [verb, "--data", str(tmp_path / "d.idx")]
+        argv = verb.split()
         for key, name in paths.items():
             argv += [key, str(tmp_path / name)]
         assert main(argv) == 2

@@ -267,6 +267,18 @@ class TestSplit:
         with pytest.raises(ConfigurationError, match="split seed"):
             split(ds, train_fraction=0.5, seed=seed)
 
+    @pytest.mark.parametrize("fraction", ["0.5", True, 0, 1.0, float("nan")])
+    def test_bad_train_fraction_is_refused(self, fraction):
+        # "0.5" was a raw TypeError
+        ds = synth_dataset(6, raters=3, seed=8, image_size=16)
+        with pytest.raises(ConfigurationError, match="split train_fraction must be a finite"):
+            split(ds, train_fraction=fraction)
+
+    def test_neither_fraction_nor_counts_is_refused(self):
+        ds = synth_dataset(6, raters=3, seed=8, image_size=16)
+        with pytest.raises(ConfigurationError, match="either train_fraction or counts"):
+            split(ds)
+
 
 class TestPpm:
     def test_round_trip_within_quantization(self, tmp_path):
@@ -276,6 +288,11 @@ class TestPpm:
         back = read_ppm(path)
         assert back.shape == img.shape
         assert np.max(np.abs(back - img)) <= 0.5 / 255.0 + 1e-6
+
+    def test_header_comments_are_skipped(self, tmp_path):
+        path = tmp_path / "img.ppm"
+        path.write_bytes(b"P6\n# made by hand\n2 1 # width height\n255\n" + bytes(range(6)))
+        assert np.array_equal(read_ppm(path) * 255.0, [[[0, 3]], [[1, 4]], [[2, 5]]])
 
     def test_rejects_non_p6(self, tmp_path):
         path = tmp_path / "img.ppm"
@@ -362,6 +379,18 @@ class TestIndexFiles:
             assert np.max(np.abs(a.distribution - b.distribution)) < 1e-6
             assert abs(a.mean_score - b.mean_score) < 1e-6
 
+    def test_ratings_round_trip_exactly(self, tmp_path):
+        # 2.5000000001 was written as 2.5, which reads back as a tie between 2 and 3
+        ratings = [2.5000000001, 4, 4.0 / 3.0]
+        image = np.zeros((3, 8, 8), dtype=np.float32)
+        ds = Dataset(samples=[Sample(image, ratings, np.full(5, 0.2), 3.0)],
+                     train_idx=[0], test_idx=[])
+        back = load_index(save_index(ds, tmp_path / "r.idx")).samples[0]
+        assert back.ratings == ratings
+        assert back.distribution.tolist() == [1 / 3, 0.0, 1 / 3, 1 / 3, 0.0]
+        assert (tmp_path / "r.idx").read_text().endswith(
+            ",ratings:2.5000000001;4;1.3333333333333333\n")
+
     def test_round_trip_as_dist_rows(self, tmp_path):
         ds = synth_dataset(5, raters=9, seed=10, image_size=16)
         idx = save_index(ds, tmp_path / "synth.idx", labels="dist")
@@ -428,6 +457,13 @@ class TestIndexFiles:
         with pytest.raises(ValidationError, match="sample 0 has no ratings"):
             save_index(ds, tmp_path / "r.idx", labels="ratings")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.idx", "d_images"]
+
+    def test_index_in_a_missing_directory_writes_nothing(self, tmp_path):
+        # the whole path up to <stem>_images was created
+        ds = synth_dataset(2, raters=3, seed=0, image_size=16)
+        with pytest.raises(FileNotFoundError):
+            save_index(ds, tmp_path / "new" / "deeper" / "d.idx")
+        assert list(tmp_path.iterdir()) == []
 
     def test_inner_space_in_the_index_name_round_trips(self, tmp_path):
         ds = synth_dataset(2, raters=3, seed=0, image_size=16)

@@ -112,6 +112,16 @@ class TestDistributionFromRatings:
             assert 1.0 <= weighted_mean(d) <= 5.0
 
 
+class TestValidateDistribution:
+    def test_a_non_vector_is_refused(self):
+        with pytest.raises(ValidationError, match="must be a vector, got shape"):
+            validate_distribution(np.full((1, 5), 0.2))
+
+    def test_a_sum_off_one_is_refused(self):
+        with pytest.raises(ValidationError, match="must sum to 1, got sum 0.9"):
+            validate_distribution([0.2, 0.2, 0.2, 0.2, 0.1])
+
+
 class TestWeightedMean:
     def test_uniform_is_midpoint(self):
         assert weighted_mean([0.2] * 5) == pytest.approx(3.0)
@@ -240,6 +250,15 @@ class TestPearson:
         with pytest.raises(UndefinedCorrelationError):
             pearson([1, 2, 3], [2.0, 2.0, 2.0])
 
+    @pytest.mark.parametrize("x,y", [([1, 2, 3], [1, 2]), ([[1, 2], [3, 4]], [[1, 2], [3, 5]])])
+    def test_vectors_of_other_shapes_are_refused(self, x, y):
+        with pytest.raises(DimensionError, match="two equal-length vectors"):
+            pearson(x, y)
+
+    def test_a_single_point_is_refused(self):
+        with pytest.raises(DimensionError, match="at least 2 points"):
+            pearson([1.0], [2.0])
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(50)
@@ -297,6 +316,12 @@ class TestLossGraphs:
         total = kl_loss_graph(ad.Tensor(pred, dtype=np.float64), targ)
         expected = sum(kl_loss(t, p) for p, t in zip(pred, targ))
         assert float(total.data) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("graph", [euclidean_loss_graph, kl_loss_graph])
+    def test_targets_of_another_shape_are_refused(self, graph):
+        pred = ad.Tensor(np.full((2, 5), 0.2), dtype=np.float64)
+        with pytest.raises(DimensionError, match=r"mismatch: pred \(2, 5\) vs targets \(2, 4\)"):
+            graph(pred, np.full((2, 4), 0.25))
 
     def test_euclidean_gradient_finite_at_perfect_fit(self):
         targ = np.full((2, 5), 0.2)

@@ -9,6 +9,7 @@ import ldlnet.autodiff as ad
 from ldlnet.errors import ConfigurationError, DimensionError
 from ldlnet.gradcheck import end_to_end_check
 from ldlnet.network import (
+    BLOCK_LAYOUTS,
     BRANCH_END_GAMMA,
     Network,
     NetworkSpec,
@@ -253,6 +254,16 @@ class TestResidualStructure:
         assert any(".proj." in n for n in skip_names)
         assert not any(".proj." in n for n in plain_names)
         assert plain.weighted_layer_count() == skip.weighted_layer_count()
+
+    @pytest.mark.parametrize("kind", list(BLOCK_LAYOUTS))
+    def test_main_convs_are_the_branch_convs_in_order(self, kind):
+        # the benchmark counts conv FLOPs through main_convs and proj_conv
+        net = Network(NetworkSpec(block_counts=(1, 2, 1, 1), stage_widths=(4, 6, 8, 10),
+                                  block_kind=kind, input_size=16))
+        for block in (b for stage in net.stages for b in stage):
+            convs = block.main_convs()
+            assert [c.weight.shape[2] for c in convs] == [k for k, _, _ in BLOCK_LAYOUTS[kind]]
+            assert block.proj_conv not in convs
 
     def test_plain_forward_works(self):
         net = Network(NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),

@@ -105,6 +105,9 @@ class TestSynthDataset:
         dict(n=4.5),                  # was a raw TypeError
         dict(n=10, raters=2.5),       # was a raw TypeError
         dict(n=10, image_size=16.5),  # drew 17x17 images
+        dict(n=4, noise_sd="a"),      # was a raw TypeError
+        dict(n=4, bimodal_fraction=None),  # was a raw TypeError
+        dict(n=4, noise_sd=True),     # drew ratings with noise 1
     ])
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(ConfigurationError):

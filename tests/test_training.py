@@ -75,9 +75,9 @@ class TestSchedule:
 
     @pytest.mark.parametrize("name,value,message", [
         ("seed", -1, "TrainConfig seed must be >= 0, got -1"),
-        ("batch_size", 1, "batch_size must be >= 2 (batch norm), got 1"),
-        ("max_iter", 0, "max_iter must be positive, got 0"),
-        ("augment_factor", 0, "augment_factor must be >= 1, got 0"),
+        ("batch_size", 1, "TrainConfig batch_size must be >= 2, got 1"),
+        ("max_iter", 0, "TrainConfig max_iter must be >= 1, got 0"),
+        ("augment_factor", 0, "TrainConfig augment_factor must be >= 1, got 0"),
     ])
     def test_integer_fields_refuse_out_of_range_values(self, name, value, message):
         with pytest.raises(ConfigurationError) as exc:
@@ -92,6 +92,32 @@ class TestSchedule:
             TrainConfig(**{name: value})
         assert name in str(exc.value)
 
+    @pytest.mark.parametrize("name,value", [
+        ("base_lr", "x"), ("momentum", None), ("lr_factor", "0.5"), ("weight_decay", [1]),
+        ("base_lr", True), ("momentum", True),
+        pytest.param("last_layer_decay_mult", 10**400, id="last_layer_decay_mult-10**400"),
+    ])
+    def test_real_fields_refuse_other_types(self, name, value):
+        # the strings, None and the list were raw TypeErrors; the bools passed
+        with pytest.raises(ConfigurationError, match=f"TrainConfig {name} must be a finite number"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("base_lr", 0, "TrainConfig base_lr must be a finite number > 0, got 0"),
+        ("lr_factor", 1.0, "TrainConfig lr_factor must be a finite number in (0, 1), got 1.0"),
+        ("momentum", -0.5, "TrainConfig momentum must be a finite number >= 0, got -0.5"),
+    ])
+    def test_real_fields_refuse_out_of_range_values(self, name, value, message):
+        with pytest.raises(ConfigurationError) as exc:
+            TrainConfig(**{name: value})
+        assert str(exc.value) == message
+
+    def test_fields_are_stored_as_their_checked_numbers(self):
+        cfg = TrainConfig(base_lr=1, momentum=np.float32(0.5), weight_decay=0,
+                          batch_size=np.int64(4))
+        assert (type(cfg.base_lr), type(cfg.momentum), type(cfg.batch_size)) == (float, float, int)
+        assert (cfg.base_lr, cfg.momentum, cfg.weight_decay) == (1.0, 0.5, 0.0)
+
 
 class TestSgdStep:
     def _record(self, value, kind="weight", last=False, name="w"):
@@ -105,6 +131,16 @@ class TestSgdStep:
                           lr_step=10)
         sgd_step([rec], {}, cfg, 0)
         assert rec.tensor.data[0] == pytest.approx(0.95)
+
+    def test_a_record_without_a_gradient_still_decays(self):
+        # a parameter the loss does not reach moves by its weight decay alone
+        rec = self._record(1.0)
+        cfg = TrainConfig(momentum=0.0, weight_decay=0.5, base_lr=0.1, max_iter=10,
+                          lr_step=10)
+        velocities = {}
+        sgd_step([rec], velocities, cfg, 0)
+        assert rec.tensor.data[0] == pytest.approx(0.95)
+        assert velocities["w"][0] == pytest.approx(-0.05) and rec.tensor.grad is None
 
     def test_zero_gradient_zero_decay_is_fixed_point(self):
         rec = self._record(2.0)
@@ -344,6 +380,14 @@ class TestEvaluate:
         assert len(indices) > PREDICT_BATCH
         preds = predict_distributions(self._OracleNet(ds, indices), ds, indices)
         assert np.array_equal(preds, np.stack([ds.samples[i].distribution for i in indices]))
+
+    def test_levels_that_do_not_match_the_scale_are_refused(self):
+        ds = toy_dataset(16, seed=10, train=12)
+        net = Network(NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
+                                  input_size=16, num_labels=3))
+        init_weights(net, 0)
+        with pytest.raises(ConfigurationError, match="predicts 3 levels, score scale has 5"):
+            evaluate(net, ds, ds.test_idx)
 
     def test_empty_split_rejected(self):
         ds = toy_dataset(16, seed=10, train=12)
