@@ -13,8 +13,9 @@ vector-Jacobian product reads (Chainer's ``VariableNode`` and PyTorch's
 consumes them. Leaves (nodes with no closure: parameters and inputs that
 require grad) receive their gradients in ``.grad``; every other node drops
 its ``.grad``, closure and parents once its closure has run, so each saved
-array is freed as soon as the walk passes its last reader. A second
-backward through a consumed node raises :class:`ConfigurationError`.
+array is freed once the walk has passed its last reader and no deferred
+weight gradient (below) still reads it. A second backward through a
+consumed node raises :class:`ConfigurationError`.
 
 Every op records itself through one helper, ``_node(value, op, parents,
 vjp)``: the op computes its output value and hands over a vector-Jacobian
@@ -22,6 +23,18 @@ product, ``vjp(g)``, that returns one gradient per parent (None for one it
 skips). In the backward, ``_node`` adds each gradient into its parent when
 that parent requires grad. A vjp reads ``requires_grad`` itself only to skip
 costly work: conv2d's dX and dK, and batch_norm's dx.
+
+A vjp may hand back a zero-argument callable instead of a gradient array,
+as conv2d does for a kernel larger than the arrays its dK product reads. For
+a leaf, during a walk, ``_node`` queues the callable and ``Tensor.backward``
+runs the queue in walk order once the walk is done, so the big weight
+gradient is not held while the rest of the tape waits (the input-/weight-
+gradient split of Zero Bubble pipeline parallelism, Qi et al. 2023, applied
+to memory). Outside a walk, or for a parent that is not a leaf, the callable
+runs at once. The FLOPs, operands and summation order do not change, so the
+gradients are bitwise the same. This relies on one rule every vjp keeps: no
+vjp writes into the ``g`` it receives (``add`` hands the same ``g`` to both
+parents), so an array a queued callable captured still holds its value.
 
 Training runs in float32; float64 exists for finite-difference verification
 (see :mod:`ldlnet.gradcheck`).
@@ -46,6 +59,7 @@ import numpy as np
 from .errors import BatchSizeError, ConfigurationError, DimensionError, _integer
 
 _grad_enabled = True
+_deferred = None   # (leaf node, callable) pairs queued while Tensor.backward walks, else None
 BN_EPS = 1e-5   # added to the variance under batch norm's square root
 
 
@@ -113,10 +127,14 @@ class Tensor:
         The walk visits graph nodes, not values: nodes are popped off the
         topological order, last first. Once a node's closure has run, its
         ``.grad``, closure and parents are dropped, and with them the arrays
-        the closure saved; only leaves keep ``.grad``. A graph that reaches
-        a node an earlier backward consumed raises ConfigurationError before
-        any gradient is touched.
+        the closure saved, unless a deferred weight gradient still reads
+        them; only leaves keep ``.grad``. The deferred weight gradients run
+        after the walk, in walk order, each freeing what it read; the queue
+        is emptied even when the walk raises. A graph that reaches a node an
+        earlier backward consumed raises ConfigurationError before any
+        gradient is touched.
         """
+        global _deferred
         if self.data.size != 1:
             raise DimensionError(f"backward() needs a scalar loss, got shape {self.data.shape}")
         order = _topo_order(self.node)
@@ -124,11 +142,19 @@ class Tensor:
             raise ConfigurationError(
                 "backward() reached a node an earlier backward() consumed; run the forward again")
         self.grad = np.ones_like(self.data)
-        while order:
-            node = order.pop()
-            if node._backward is not None:
-                node._backward(node.grad)
-                node.grad, node._backward, node._parents = None, _consumed, ()
+        outer, _deferred = _deferred, []
+        try:
+            while order:
+                node = order.pop()
+                if node._backward is not None:
+                    node._backward(node.grad)
+                    node.grad, node._backward, node._parents = None, _consumed, ()
+            queue, _deferred = _deferred[::-1], None   # popped, so each runs once and is freed
+            while queue:
+                node, grad = queue.pop()
+                _accumulate(node, grad())
+        finally:
+            _deferred = outer
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, dtype={self.data.dtype})"
@@ -159,19 +185,31 @@ def _consumed(g):
     ``Tensor.backward`` refuses any graph that reaches it."""
 
 
+def _accumulate(node, grad):
+    node.grad = grad if node.grad is None else node.grad + grad
+
+
 def _node(value, op, parents, vjp):
     """The Tensor ``value`` that ``op`` made from ``parents``, its node wired
     to the parents' nodes with a backward that adds ``vjp(g)``'s gradients
     into the parents that require grad. The node holds no value: ``vjp``
     keeps alive only what it captured. The vjp's scratch arrays are freed
-    before any gradient is added."""
+    before any gradient is added. A gradient handed back as a callable is
+    queued for the end of the walk when its parent is a leaf and a walk is
+    running, and called at once otherwise."""
     out = Tensor(value, op=op)
     nodes = tuple(p.node for p in parents)
     if _grad_enabled and any(p.requires_grad for p in nodes):
         def bwd(g):
             for p, dp in zip(nodes, vjp(g)):
-                if dp is not None and p.requires_grad:
-                    p.grad = dp if p.grad is None else p.grad + dp
+                if dp is None or not p.requires_grad:
+                    continue
+                if callable(dp):
+                    if _deferred is not None and p._backward is None:
+                        _deferred.append((p, dp))
+                        continue
+                    dp = dp()
+                _accumulate(p, dp)
 
         node = out.node
         node.requires_grad, node._parents, node._backward = True, nodes, bwd
@@ -246,12 +284,13 @@ def conv2d(x, k, stride=1, pad=0):
 
     A 1x1 kernel with no pad skips im2col, as Caffe's convolution layer
     does: with cols = x[:, :, ::stride, ::stride] as (N, C, Ho*Wo), a free
-    view at stride 1 and the only array it keeps, each image's output is
-    k2 @ cols[n] for k2 = k as (F, C). Its backward is dK = sum_n
-    g[n] @ cols[n].T and dX = k2.T @ g, put into every stride-th pixel of
-    zeros when stride > 1. dK is summed image by image into one (F, C)
-    buffer through one (F, C) scratch product, in batch order, so no
-    (N, F, C) stack of per-image products is ever held.
+    view at stride 1 and a copy taken afresh from x by each direction at
+    stride > 1 (the op keeps only x), each image's output is k2 @ cols[n]
+    for k2 = k as (F, C). Its backward is dK = sum_n g[n] @ cols[n].T and
+    dX = k2.T @ g, put into every stride-th pixel of zeros when stride > 1.
+    dK is summed image by image into one (F, C) buffer through one (F, C)
+    scratch product, in batch order, so no (N, F, C) stack of per-image
+    products is ever held.
 
     Every other conv is channels-last inside the op. The forward transposes
     the padded input to (N,H,W,C) once, takes its window rows
@@ -273,6 +312,14 @@ def conv2d(x, k, stride=1, pad=0):
     into an (N,H,W,C) buffer. The boundary stays NCHW because every other
     op, the network, gradcheck and the tests use it. The reordered kernel is
     rebuilt in the backward rather than held on the tape.
+
+    When the kernel has more elements than the arrays its dK callable would
+    keep (the output gradient plus x or the kept window rows), the backward
+    hands dK back as a callable that ``Tensor.backward`` runs after its
+    walk: the callable keeps the gradient (``gmat`` channels-last) and what
+    the tape already held, and at stride 1 rebuilds the gradient rows rather
+    than keep them. In a ResNet-50 at batch 2 that is the stride-1 3x3 convs
+    of stage 3 and every stage-4 conv but the first block's 1x1 reduce.
     """
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d operands, got {x.shape} and {k.shape}")
@@ -290,18 +337,25 @@ def conv2d(x, k, stride=1, pad=0):
     wo = (wp - kw) // stride + 1
 
     if kh == kw == 1 and pad == 0:
-        cols = x.data[:, :, ::stride, ::stride].reshape(n, c, ho * wo)
+        def columns():
+            return x.data[:, :, ::stride, ::stride].reshape(n, c, ho * wo)
+
         k2 = k.data.reshape(f, c)
+        defer = k.data.size > n * f * ho * wo + x.data.size   # dK waits for the end of the walk
+
+        def weight_grad(gv):
+            cols = columns()
+            dk = gv[0] @ cols[0].T
+            part = np.empty_like(dk)
+            for gi, ci in zip(gv[1:], cols[1:]):
+                dk += np.matmul(gi, ci.T, out=part)
+            return dk.reshape(k.shape)
 
         def vjp(g):
             gv = g.reshape(n, f, ho * wo)
             dk = None
             if k.requires_grad:
-                dk = gv[0] @ cols[0].T
-                part = np.empty_like(dk)
-                for gi, ci in zip(gv[1:], cols[1:]):
-                    dk += np.matmul(gi, ci.T, out=part)
-                dk = dk.reshape(k.shape)
+                dk = (lambda: weight_grad(gv)) if defer else weight_grad(gv)
             if not x.requires_grad:
                 return None, dk
             dx = np.matmul(k2.T, gv).reshape(n, c, ho, wo)
@@ -310,27 +364,37 @@ def conv2d(x, k, stride=1, pad=0):
                 dx[:, :, ::stride, ::stride] = dcols
             return dx, dk
 
-        return _node(np.matmul(k2, cols).reshape(n, f, ho, wo), "conv2d", (x, k), vjp)
+        return _node(np.matmul(k2, columns()).reshape(n, f, ho, wo), "conv2d", (x, k), vjp)
 
     rows = _window_rows(_pad_hw(x.data.transpose(0, 2, 3, 1), pad, pad), kh, kw, stride)
     out = _nchw(rows @ _kernel_rows(k.data).T, n, ho, wo)
     from_grad_rows = stride == 1 and x.requires_grad
     if from_grad_rows:
         rows = None   # the backward's gradient rows give dK against x itself
+    operand = x.data.size if from_grad_rows else rows.size
+    defer = k.data.size > n * f * ho * wo + operand
+
+    def grad_rows(gmat):
+        return _window_rows(
+            _pad_hw(gmat.reshape(n, ho, wo, f), kh - 1 - pad, kw - 1 - pad), kh, kw, 1)
+
+    def weight_grad(gmat, grows=None):
+        if not from_grad_rows:
+            return np.ascontiguousarray((gmat.T @ rows).reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
+        if grows is None:
+            grows = grad_rows(gmat)
+        m = grows.T @ x.data.transpose(0, 2, 3, 1).reshape(n * h * w, c)
+        return np.ascontiguousarray(m.reshape(kh, kw, f, c)[::-1, ::-1].transpose(2, 3, 0, 1))
 
     def vjp(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
+        grows = grad_rows(gmat) if from_grad_rows else None
         dk = None
+        if k.requires_grad:
+            dk = (lambda: weight_grad(gmat)) if defer else weight_grad(gmat, grows)
         if from_grad_rows:
-            grows = _window_rows(
-                _pad_hw(gmat.reshape(n, ho, wo, f), kh - 1 - pad, kw - 1 - pad), kh, kw, 1)
-            if k.requires_grad:
-                m = grows.T @ x.data.transpose(0, 2, 3, 1).reshape(n * h * w, c)
-                dk = np.ascontiguousarray(m.reshape(kh, kw, f, c)[::-1, ::-1].transpose(2, 3, 0, 1))
             kflip = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, kh * kw * f)
             return _nchw(grows @ kflip.T, n, h, w), dk
-        if k.requires_grad:
-            dk = np.ascontiguousarray((gmat.T @ rows).reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
         if not x.requires_grad:
             return None, dk
         drows = (gmat @ _kernel_rows(k.data)).reshape(n, ho, wo, kh, kw, c)

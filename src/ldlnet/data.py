@@ -164,7 +164,7 @@ def save_index(dataset, index_path, labels="auto"):
         if labels == "ratings" or (labels == "auto" and s.ratings is not None):
             row = rel + ",ratings:" + ";".join(_format_value(r) for r in s.ratings)
         else:
-            row = rel + ",dist:" + ";".join(f"{v:.10g}" for v in s.distribution)
+            row = rel + ",dist:" + ";".join(_format_value(v) for v in s.distribution)
         lines.append(row)
     with open(index_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -18,14 +18,28 @@ class ConfigurationError(LdlError):
     counts, a second backward through a consumed tape, ...)."""
 
 
+def _shown(value):
+    """``repr(value)`` for an error message, cut to about 60 characters.
+    An int too long for Python to print is named by its size instead, and
+    any other value that cannot be printed (a list holding such an int) by
+    its type."""
+    try:
+        text = repr(value)
+    except ValueError:   # an int beyond the interpreter's digit limit, bare or inside
+        if isinstance(value, int):
+            return f"{'-' if value < 0 else ''}<{value.bit_length()}-bit int>"
+        return f"<unprintable {type(value).__name__}>"
+    return text if len(text) <= 60 else text[:45] + "..." + text[-12:]
+
+
 def _integer(op, name, value, least=None):
     """``value`` as an int no smaller than ``least`` (when given);
     ConfigurationError for anything else, a bool or a whole-valued float
     included."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{op} {name} must be an integer, got {value!r}")
+        raise ConfigurationError(f"{op} {name} must be an integer, got {_shown(value)}")
     if least is not None and value < least:
-        raise ConfigurationError(f"{op} {name} must be >= {least}, got {value}")
+        raise ConfigurationError(f"{op} {name} must be >= {least}, got {_shown(int(value))}")
     return int(value)
 
 
@@ -41,7 +55,7 @@ def _real(op, name, value, low, high=math.inf, closed=False):
     if not math.isfinite(number) or not (low <= number <= high if closed else low < number < high):
         where = (f"{'>=' if closed else '>'} {low}" if high == math.inf else
                  f"in {'[' if closed else '('}{low}, {high}{']' if closed else ')'}")
-        raise ConfigurationError(f"{op} {name} must be a finite number {where}, got {value!r}")
+        raise ConfigurationError(f"{op} {name} must be a finite number {where}, got {_shown(value)}")
     return number
 
 

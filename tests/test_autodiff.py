@@ -99,8 +99,11 @@ class TestConv2d:
                       stride=1, pad=-1)
 
     def test_pointwise_forward_holds_only_its_output(self):
-        # a 1x1 stride-1 conv reads its input in place: the tape keeps no copy of it
-        self._check_forward_holds_only_its_output((2, 64, 28, 28), (32, 64, 1, 1), pad=0, seed=13)
+        # a 1x1 conv keeps only its input, which the tape holds anyway; at stride 2 each
+        # direction slices the input afresh instead of keeping a quarter-size copy
+        for stride in (1, 2):
+            self._check_forward_holds_only_its_output((2, 64, 28, 28), (32, 64, 1, 1), pad=0,
+                                                      seed=13, stride=stride)
 
     def test_stride_one_forward_keeps_no_window_rows(self):
         # dK comes from the backward's gradient rows against x, which the tape holds anyway
@@ -125,13 +128,13 @@ class TestConv2d:
         assert k.grad.shape == k.shape and x.grad.shape == x.shape
 
     @staticmethod
-    def _check_forward_holds_only_its_output(xs, ks, pad, seed):
+    def _check_forward_holds_only_its_output(xs, ks, pad, seed, stride=1):
         rng = np.random.default_rng(seed)
         x = ad.Tensor(rng.standard_normal(xs).astype(np.float32), requires_grad=True)
         k = ad.Tensor(rng.standard_normal(ks).astype(np.float32), requires_grad=True)
         tracemalloc.start()
         try:
-            out = ad.conv2d(x, k, stride=1, pad=pad)
+            out = ad.conv2d(x, k, stride=stride, pad=pad)
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -698,6 +701,112 @@ class TestTapeRelease:
             extra.backward()
         for rec in net.param_records():
             assert np.array_equal(rec.tensor.grad, before[rec.name]), rec.name
+
+
+# (x shape, kernel shape, stride, pad, x needs a gradient): each kernel has more elements
+# than the output gradient plus the operand its dK product reads, so its dK is deferred
+DEFERRED_CONVS = {
+    "stride1_3x3": ((2, 16, 4, 4), (32, 16, 3, 3), 1, 1, True),
+    "pointwise": ((2, 32, 3, 3), (64, 32, 1, 1), 1, 0, True),
+    "strided_pointwise": ((2, 16, 4, 4), (128, 16, 1, 1), 2, 0, True),
+    "strided_3x3": ((2, 8, 6, 6), (32, 8, 3, 3), 2, 1, True),
+    "input_without_gradient": ((2, 16, 4, 4), (32, 16, 3, 3), 1, 1, False),
+}
+
+# a bottleneck net whose last stage (1x1 maps at batch 2) has kernels larger than its activations
+LAST_STAGE_HEAVY = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 8, 16, 64), input_size=32,
+                               block_kind="bottleneck", stem_pool_window=3, stem_pool_pad=1)
+
+
+def _deferred_conv(case, seed=40):
+    """A conv of DEFERRED_CONVS behind a scale (whose backward the walk runs after the
+    conv's), and the loss sum(out * w) whose output gradient is w exactly."""
+    xs, ks, stride, pad, x_grad = DEFERRED_CONVS[case]
+    rng = np.random.default_rng(seed)
+    x0 = ad.Tensor(rng.standard_normal(xs).astype(np.float32), requires_grad=x_grad)
+    k = ad.Tensor(rng.standard_normal(ks).astype(np.float32), requires_grad=True)
+    x = ad.scale(x0, 1.0)
+    out = ad.conv2d(x, k, stride=stride, pad=pad)
+    w = rng.standard_normal(out.shape).astype(np.float32)
+    return x0, x, k, out, w, ad.tsum(ad.mul_const(out, w))
+
+
+class TestDeferredWeightGradients:
+    @pytest.mark.parametrize("case", [c for c, v in DEFERRED_CONVS.items() if v[-1]])
+    def test_kernel_gradient_arrives_after_the_walk(self, case):
+        _, x, k, _, _, loss = _deferred_conv(case)
+        seen = []
+        inner = x._backward
+
+        def later(g):   # the walk reaches the scale after the conv
+            seen.append(k.grad is None)
+            inner(g)
+
+        x._backward = later
+        loss.backward()
+        assert seen == [True]
+        assert k.grad is not None and k.grad.shape == k.shape
+        assert ad._deferred is None
+
+    @pytest.mark.parametrize("case", sorted(DEFERRED_CONVS))
+    def test_deferred_gradient_is_bitwise_the_direct_one(self, case):
+        x0, _, k, _, _, loss = _deferred_conv(case)
+        loss.backward()
+        _, _, k_direct, out, w, _ = _deferred_conv(case)
+        out._backward(w)   # outside a walk the callable runs at once
+        assert np.array_equal(k.grad, k_direct.grad)
+        assert x0.requires_grad == (x0.grad is not None)
+
+    def test_a_shared_kernel_gets_the_sum_of_both_gradients(self):
+        xs, ks, stride, pad, _ = DEFERRED_CONVS["stride1_3x3"]
+        rng = np.random.default_rng(41)
+        xa, xb = (ad.Tensor(rng.standard_normal(xs).astype(np.float32), requires_grad=True)
+                  for _ in range(2))
+        k = ad.Tensor(rng.standard_normal(ks).astype(np.float32), requires_grad=True)
+        outs = [ad.conv2d(xi, k, stride=stride, pad=pad) for xi in (xa, xb)]
+        ws = [rng.standard_normal(o.shape).astype(np.float32) for o in outs]
+        ad.add(*(ad.tsum(ad.mul_const(o, wi)) for o, wi in zip(outs, ws))).backward()
+        parts = []
+        for xi, wi in zip((xa, xb), ws):
+            kd = ad.Tensor(k.data, requires_grad=True)
+            ad.conv2d(ad.Tensor(xi.data, requires_grad=True), kd, stride=stride, pad=pad)._backward(wi)
+            parts.append(kd.grad)
+        assert np.array_equal(k.grad, parts[0] + parts[1])
+
+    def test_an_error_mid_walk_leaves_no_queued_gradient(self):
+        _, x, k, _, _, loss = _deferred_conv("stride1_3x3")
+
+        def fail(g):
+            raise RuntimeError("vjp failed")
+
+        x._backward = fail
+        with pytest.raises(RuntimeError, match="vjp failed"):
+            loss.backward()
+        assert ad._deferred is None and k.grad is None
+        x0, _, k2, _, _, other = _deferred_conv("pointwise")
+        other.backward()   # a later walk runs only its own queue
+        assert k.grad is None and k2.grad is not None and x0.grad is not None
+
+    def test_backward_peak_stays_near_the_forward_peak(self):
+        # the last stage's weight gradients wait for the end of the walk, when the
+        # tape the walk consumed is gone; made in the walk they sat beside all of it
+        net = Network(LAST_STAGE_HEAVY)
+        init_weights(net, 0)
+        rng = np.random.default_rng(42)
+        images = rng.random((2, 3, 32, 32), dtype=np.float32)
+        targets = rng.dirichlet(np.ones(5), size=2).astype(np.float32)
+        tracemalloc.start()
+        try:
+            loss = batch_loss_graph("euclidean", net.forward(images).distribution, targets)
+            _, forward_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            loss.backward()
+            _, backward_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stage4 = sum(r.tensor.data.nbytes for r in net.param_records() if r.name.startswith("stage4"))
+        assert stage4 > 0.4 * forward_peak   # made in the walk, these gradients would show
+        assert backward_peak <= 1.1 * forward_peak, (forward_peak, backward_peak)
 
 
 _GATED_PARENTS = {

@@ -398,6 +398,18 @@ class TestIndexFiles:
         for a, b in zip(ds.samples, back.samples):
             assert np.max(np.abs(a.distribution - b.distribution)) < 1e-6
 
+    def test_dist_rows_round_trip_exactly(self, tmp_path):
+        # degrees were written with 10 significant digits and read back up to 3e-11 off
+        dist = np.array([0.1, 0.2, 0.3, 0.2, 0.2]) / 1.0000000001
+        image = np.zeros((3, 8, 8), dtype=np.float32)
+        ds = Dataset(samples=[Sample(image, None, dist, 3.0)], train_idx=[0], test_idx=[])
+        back = load_index(save_index(ds, tmp_path / "d.idx", labels="dist")).samples[0]
+        assert np.array_equal(back.distribution, dist / dist.sum())   # only the load's renormalization
+        synth = synth_dataset(5, raters=9, seed=10, image_size=16)
+        back = load_index(save_index(synth, tmp_path / "s.idx", labels="dist"))
+        for a, b in zip(synth.samples, back.samples):
+            assert np.array_equal(b.distribution, a.distribution / a.distribution.sum())
+
     def test_missing_index(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_index(tmp_path / "absent.idx")

@@ -1,6 +1,9 @@
 """Tests for the schedule, the SGD update, the training loop, and evaluation."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -108,6 +111,24 @@ class TestSchedule:
         ("momentum", -0.5, "TrainConfig momentum must be a finite number >= 0, got -0.5"),
     ])
     def test_real_fields_refuse_out_of_range_values(self, name, value, message):
+        with pytest.raises(ConfigurationError) as exc:
+            TrainConfig(**{name: value})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("name,value,message", [
+        pytest.param("seed", -10**5000, "TrainConfig seed must be >= 0, got -<16610-bit int>",
+                     id="seed--10**5000"),
+        pytest.param("base_lr", -10**5000,
+                     "TrainConfig base_lr must be a finite number > 0, got -<16610-bit int>",
+                     id="base_lr--10**5000"),
+        pytest.param("seed", [10**5000], "TrainConfig seed must be an integer, got <unprintable list>",
+                     id="seed-[10**5000]"),
+        pytest.param("base_lr", (-10**5000,),
+                     "TrainConfig base_lr must be a finite number > 0, got <unprintable tuple>",
+                     id="base_lr-(-10**5000,)"),
+    ])
+    def test_an_integer_too_long_to_print_is_named_by_its_size(self, name, value, message):
+        # the message printed the value, and Python refuses to print an int of 4300+ digits
         with pytest.raises(ConfigurationError) as exc:
             TrainConfig(**{name: value})
         assert str(exc.value) == message
@@ -489,3 +510,46 @@ class TestRegressionBaseline:
         with pytest.raises(ConfigurationError):
             train_mean_regression(ds, TOY, TrainConfig(max_iter=2, batch_size=4,
                                                        eval_every=1))
+
+
+# the criterion-8 toy run, writing its checkpoint and metrics CSV into out_dir;
+# it prints the OpenBLAS thread count in effect, or "absent"
+_TOY_RUN = """
+import ctypes, glob, os
+import numpy
+from ldlnet import checkpoint
+from ldlnet.data import split
+from ldlnet.network import NetworkSpec
+from ldlnet.synth import synth_dataset
+from ldlnet.training import TrainConfig, train
+
+toy = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10), input_size=16)
+ds = split(synth_dataset(n=32, raters=9, seed=808, image_size=16), counts=(24, 8), seed=808)
+ckpt, log = train(ds, toy, TrainConfig(max_iter=8, batch_size=8, eval_every=4, seed=9))
+checkpoint.save(ckpt, os.path.join(out_dir, "toy.ckpt"))
+log.save_csv(os.path.join(out_dir, "toy.metrics.csv"))
+libdir = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+paths = sorted(glob.glob(os.path.join(libdir, "libscipy_openblas*")))
+getter = getattr(ctypes.CDLL(paths[0]), "scipy_openblas_get_num_threads64_", None) if paths else None
+print("absent" if getter is None else getter())
+"""
+
+
+class TestDeterminism:
+    def test_one_and_two_blas_threads_write_the_same_bytes(self, tmp_path):
+        # both runs are child processes, so neither inherits this process's thread count
+        import ldlnet
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ldlnet.__file__))
+        threads = []
+        for count in ("1", "2"):
+            (tmp_path / count).mkdir()
+            env["LDL_THREADS"] = count
+            threads.append(subprocess.run(
+                [sys.executable, "-c", f"out_dir = {str(tmp_path / count)!r}\n" + _TOY_RUN],
+                env=env, check=True, capture_output=True, text=True,
+                timeout=300).stdout.split()[-1])
+        assert threads in (["absent", "absent"], ["1", "2"])
+        for name in ("toy.ckpt", "toy.metrics.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
