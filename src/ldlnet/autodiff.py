@@ -36,6 +36,24 @@ gradients are bitwise the same. This relies on one rule every vjp keeps: no
 vjp writes into the ``g`` it receives (``add`` hands the same ``g`` to both
 parents), so an array a queued callable captured still holds its value.
 
+A Tensor may also carry a ``recipe``: a zero-argument function that
+rebuilds its value bitwise from arrays the tape holds anyway, through the
+forward's own operations (the memory sharing of Chen et al. 2016, arXiv
+1604.06174). Ops set one after ``_node`` returns, and only on wired nodes:
+a ``batch_norm`` output gets one from its input, mu, s and a copy of beta,
+a ``relu`` of a batch-norm output one from that recipe, and a ``pad2d`` of
+a value with a recipe one from that. A backward that reads a parent's value
+(conv2d's dK, the max pool's slab comparison) keeps ``_saved(parent)``, the
+recipe when there is one and a function returning the array otherwise, and
+the parent's node rather than the parent Tensor, so a value with a recipe
+is freed as soon as the forward has moved past it. A relu's recipe keeps
+what it rebuilt in a one-slot cache that the first backward reader fills
+and the relu's own backward, which masks with it, clears. The FLOPs and
+operands do not change, so every gradient is bitwise what the stored values
+would give. This relies on one more rule: no op writes into an array a
+recipe reads; only relu's recipe writes, into the new array batch norm's
+recipe has just returned.
+
 Training runs in float32; float64 exists for finite-difference verification
 (see :mod:`ldlnet.gradcheck`).
 
@@ -44,12 +62,13 @@ Every op takes and returns (N,C,H,W) activations. An unpadded 1x1
 (F,C) @ (C,H*W), with no layout copy. Every other ``conv2d`` computes
 channels-last inside the op: its window rows, matmuls and gradient buffers
 are (N,H,W,C), so each window is a run of kw*C contiguous floats and the
-input gradient needs no scatter. Only strided convs and convs whose input
-needs no gradient keep their window rows on the tape; at stride 1 the window
-rows of the padded gradient, built for the input gradient, give the weight
-gradient as well. The op boundary stays NCHW because every other op, the
-network, the tests and gradcheck use that layout, and so does the
-benchmark's tracer, which counts conv FLOPs from NCHW output shapes.
+input gradient needs no scatter. Only convs whose input needs no gradient
+keep their window rows on the tape; a strided conv rebuilds them from its
+saved input in the backward, and at stride 1 the window rows of the padded
+gradient, built for the input gradient, give the weight gradient as well.
+The op boundary stays NCHW because every other op, the network, the tests
+and gradcheck use that layout, and so does the benchmark's tracer, which
+counts conv FLOPs from NCHW output shapes.
 """
 
 from __future__ import annotations
@@ -97,9 +116,10 @@ def _on_node(name):
 
 
 class Tensor:
-    """Dense n-dimensional float array and the graph node it owns."""
+    """Dense n-dimensional float array, the graph node it owns and, on some
+    wired nodes, the ``recipe`` that rebuilds the array (module docstring)."""
 
-    __slots__ = ("data", "op", "node")
+    __slots__ = ("data", "op", "node", "recipe")
     grad = _on_node("grad")
     requires_grad = _on_node("requires_grad")
     _backward = _on_node("_backward")
@@ -111,6 +131,7 @@ class Tensor:
         self.data = arr
         self.op = op
         self.node = Node(bool(requires_grad))
+        self.recipe = None
 
     @property
     def shape(self):
@@ -216,6 +237,22 @@ def _node(value, op, parents, vjp):
     return out
 
 
+def _with_recipe(out, recipe):
+    """``out``, carrying ``recipe`` when its node is wired."""
+    if out.node._backward is not None:
+        out.recipe = recipe
+    return out
+
+
+def _saved(t):
+    """What a backward keeps to read ``t``'s value: its recipe, or else a
+    function that returns its array."""
+    if t.recipe is not None:
+        return t.recipe
+    data = t.data
+    return lambda: data
+
+
 # ---------------------------------------------------------------------------
 # layer primitives
 # ---------------------------------------------------------------------------
@@ -285,41 +322,44 @@ def conv2d(x, k, stride=1, pad=0):
     A 1x1 kernel with no pad skips im2col, as Caffe's convolution layer
     does: with cols = x[:, :, ::stride, ::stride] as (N, C, Ho*Wo), a free
     view at stride 1 and a copy taken afresh from x by each direction at
-    stride > 1 (the op keeps only x), each image's output is k2 @ cols[n]
-    for k2 = k as (F, C). Its backward is dK = sum_n g[n] @ cols[n].T and
-    dX = k2.T @ g, put into every stride-th pixel of zeros when stride > 1.
-    dK is summed image by image into one (F, C) buffer through one (F, C)
-    scratch product, in batch order, so no (N, F, C) stack of per-image
-    products is ever held.
+    stride > 1 (the op keeps only ``_saved(x)``), each image's output is
+    k2 @ cols[n] for k2 = k as (F, C). Its backward is
+    dK = sum_n g[n] @ cols[n].T and dX = k2.T @ g, put into every stride-th
+    pixel of zeros when stride > 1. dK is summed image by image into one
+    (F, C) buffer through one (F, C) scratch product, in batch order, so no
+    (N, F, C) stack of per-image products is ever held.
 
     Every other conv is channels-last inside the op. The forward transposes
     the padded input to (N,H,W,C) once, takes its window rows
     (N*Ho*Wo, kh*kw*C) and multiplies them by the kernel reordered to
     (F, kh*kw*C) in one matmul (im2col, Chellapilla et al. 2006).
 
-    At stride 1, when x needs a gradient, the forward drops its window rows.
-    The input gradient is the stride-1 convolution of the gradient, padded
-    by kh-1-pad (cropped when pad is larger), with the flipped, transposed
-    kernels (Dumoulin & Visin 2016): one matmul on the window rows ``grows``
-    of that padded gradient. The same rows give the weight gradient against
-    x itself, in the network a ReLU output that the ReLU's backward keeps
-    anyway: with X the input as (N*H*W, C) rows and M = grows.T @ X as
-    (kh, kw, F, C), dK[f,c,i,j] = M[kh-1-i, kw-1-j, f, c].
+    Only a conv whose input needs no gradient, such as the stem's image,
+    keeps its window rows, and then not its input: dK = gmat.T @ rows. A
+    strided conv whose input needs a gradient rebuilds the same rows from
+    ``_saved(x)`` in the backward, and adds dX as kh*kw slab adds of
+    contiguous C-runs into an (N,H,W,C) buffer.
 
-    Every other conv (stride > 1, or an input that needs no gradient, such
-    as the stem's image) keeps its window rows and takes dK = gmat.T @ rows.
-    At stride > 1 the input gradient is kh*kw slab adds of contiguous C-runs
-    into an (N,H,W,C) buffer. The boundary stays NCHW because every other
-    op, the network, gradcheck and the tests use it. The reordered kernel is
-    rebuilt in the backward rather than held on the tape.
+    At stride 1, when x needs a gradient, the input gradient is the
+    stride-1 convolution of the gradient, padded by kh-1-pad (cropped when
+    pad is larger), with the flipped, transposed kernels (Dumoulin & Visin
+    2016): one matmul on the window rows ``grows`` of that padded gradient.
+    The same rows give the weight gradient against x itself: with X the
+    input as (N*H*W, C) rows and M = grows.T @ X as (kh, kw, F, C),
+    dK[f,c,i,j] = M[kh-1-i, kw-1-j, f, c].
+
+    The boundary stays NCHW because every other op, the network, gradcheck
+    and the tests use it. The reordered kernel is rebuilt in the backward
+    rather than held on the tape.
 
     When the kernel has more elements than the arrays its dK callable would
     keep (the output gradient plus x or the kept window rows), the backward
     hands dK back as a callable that ``Tensor.backward`` runs after its
     walk: the callable keeps the gradient (``gmat`` channels-last) and what
-    the tape already held, and at stride 1 rebuilds the gradient rows rather
+    the tape already held, and rebuilds the gradient or window rows rather
     than keep them. In a ResNet-50 at batch 2 that is the stride-1 3x3 convs
-    of stage 3 and every stage-4 conv but the first block's 1x1 reduce.
+    of stage 3, the strided 3x3 convs of stages 3 and 4 and every stage-4
+    conv but the first block's 1x1 reduce.
     """
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d operands, got {x.shape} and {k.shape}")
@@ -335,16 +375,18 @@ def conv2d(x, k, stride=1, pad=0):
             f"conv2d kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
+    xnode, dtype = x.node, x.dtype
 
     if kh == kw == 1 and pad == 0:
-        def columns():
-            return x.data[:, :, ::stride, ::stride].reshape(n, c, ho * wo)
+        def columns(xd):
+            return xd[:, :, ::stride, ::stride].reshape(n, c, ho * wo)
 
+        saved = _saved(x)
         k2 = k.data.reshape(f, c)
         defer = k.data.size > n * f * ho * wo + x.data.size   # dK waits for the end of the walk
 
         def weight_grad(gv):
-            cols = columns()
+            cols = columns(saved())
             dk = gv[0] @ cols[0].T
             part = np.empty_like(dk)
             for gi, ci in zip(gv[1:], cols[1:]):
@@ -356,23 +398,26 @@ def conv2d(x, k, stride=1, pad=0):
             dk = None
             if k.requires_grad:
                 dk = (lambda: weight_grad(gv)) if defer else weight_grad(gv)
-            if not x.requires_grad:
+            if not xnode.requires_grad:
                 return None, dk
             dx = np.matmul(k2.T, gv).reshape(n, c, ho, wo)
             if stride > 1:
-                dx, dcols = np.zeros_like(x.data), dx
+                dx, dcols = np.zeros((n, c, h, w), dtype=dtype), dx
                 dx[:, :, ::stride, ::stride] = dcols
             return dx, dk
 
-        return _node(np.matmul(k2, columns()).reshape(n, f, ho, wo), "conv2d", (x, k), vjp)
+        return _node(np.matmul(k2, columns(x.data)).reshape(n, f, ho, wo), "conv2d", (x, k), vjp)
 
-    rows = _window_rows(_pad_hw(x.data.transpose(0, 2, 3, 1), pad, pad), kh, kw, stride)
+    def input_rows(xd):
+        return _window_rows(_pad_hw(xd.transpose(0, 2, 3, 1), pad, pad), kh, kw, stride)
+
+    rows = input_rows(x.data)
     out = _nchw(rows @ _kernel_rows(k.data).T, n, ho, wo)
-    from_grad_rows = stride == 1 and x.requires_grad
-    if from_grad_rows:
-        rows = None   # the backward's gradient rows give dK against x itself
-    operand = x.data.size if from_grad_rows else rows.size
-    defer = k.data.size > n * f * ho * wo + operand
+    saved = None
+    if xnode.requires_grad:   # the backward rebuilds rows, or at stride 1 reads x itself
+        rows, saved = None, _saved(x)
+    from_grad_rows = stride == 1 and rows is None
+    defer = k.data.size > n * f * ho * wo + (x.data.size if rows is None else rows.size)
 
     def grad_rows(gmat):
         return _window_rows(
@@ -380,10 +425,11 @@ def conv2d(x, k, stride=1, pad=0):
 
     def weight_grad(gmat, grows=None):
         if not from_grad_rows:
-            return np.ascontiguousarray((gmat.T @ rows).reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
+            m = gmat.T @ (input_rows(saved()) if rows is None else rows)
+            return np.ascontiguousarray(m.reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
         if grows is None:
             grows = grad_rows(gmat)
-        m = grows.T @ x.data.transpose(0, 2, 3, 1).reshape(n * h * w, c)
+        m = grows.T @ saved().transpose(0, 2, 3, 1).reshape(n * h * w, c)
         return np.ascontiguousarray(m.reshape(kh, kw, f, c)[::-1, ::-1].transpose(2, 3, 0, 1))
 
     def vjp(g):
@@ -395,7 +441,7 @@ def conv2d(x, k, stride=1, pad=0):
         if from_grad_rows:
             kflip = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, kh * kw * f)
             return _nchw(grows @ kflip.T, n, h, w), dk
-        if not x.requires_grad:
+        if not xnode.requires_grad:
             return None, dk
         drows = (gmat @ _kernel_rows(k.data)).reshape(n, ho, wo, kh, kw, c)
         dxp = np.zeros((n, hp, wp, c), dtype=drows.dtype)
@@ -440,9 +486,12 @@ def batch_norm(x, gamma, beta, mode="train", stats=None):
     With ``inv`` = 1/sqrt(var + BN_EPS) and s = gamma*inv, the output is
     (x - mu)*s + beta. The tape keeps only x and the per-channel mu and
     ``inv`` of the forward, so later changes to ``stats`` do not reach the
-    backward. The backward takes sum(g) and sum(g*x) in one pass each and
-    gets sum(g*(x - mu)) = sum(g*x) - mu*sum(g) from them, with no
-    normalized or centred copy of x: dgamma = inv*sum(g*(x - mu)),
+    backward. On a wired node the output's recipe rebuilds it bitwise from
+    x, mu, s and a copy of beta through the forward's own ops, so a relu
+    over it need not keep its output. The backward takes sum(g) and
+    sum(g*x) in one pass each and gets sum(g*(x - mu)) = sum(g*x) -
+    mu*sum(g) from them, with no normalized or centred copy of x:
+    dgamma = inv*sum(g*(x - mu)),
     dbeta = sum(g), and in train mode, with m = N*H*W and
     b = s*inv**2*sum(g*(x - mu))/m,
     dx = g*s - x*b + (b*mu - s*sum(g)/m). In eval mode dx = g*s.
@@ -455,12 +504,13 @@ def batch_norm(x, gamma, beta, mode="train", stats=None):
             f"batch_norm gamma/beta must have shape ({c},), got {gamma.shape}/{beta.shape}")
     xv = x.data.reshape(n, c, -1)
     m = xv.shape[0] * xv.shape[2]
+    centred = None
     if mode == "train":
         if n < 2:
             raise BatchSizeError(f"batch_norm train mode needs batch size >= 2, got {n}")
         mu = np.einsum("nci->c", xv) / m
-        out = xv - mu[:, None]
-        var = np.einsum("nci,nci->c", out, out) / m
+        centred = xv - mu[:, None]
+        var = np.einsum("nci,nci->c", centred, centred) / m
         if stats is not None:
             stats.batch_mean, stats.batch_var = mu, var
     elif mode == "eval":
@@ -472,12 +522,18 @@ def batch_norm(x, gamma, beta, mode="train", stats=None):
         raise ConfigurationError(f"batch_norm mode must be 'train' or 'eval', got {mode!r}")
     inv = 1.0 / np.sqrt(var + BN_EPS)
     s = gamma.data * inv
-    if mode == "train":
-        out *= s[:, None]
-        out += beta.data[:, None]
-    else:
-        out = xv * s[:, None]
-        out += (beta.data - mu * s)[:, None]
+    b, shape = beta.data.copy(), x.shape
+
+    def output(out=None):
+        """The output from xv, mu, s and b; ``out`` is the centred input in train mode."""
+        if mode == "train":
+            out = xv - mu[:, None] if out is None else out
+            out *= s[:, None]
+            out += b[:, None]
+        else:
+            out = xv * s[:, None]
+            out += (b - mu * s)[:, None]
+        return out.reshape(shape)
 
     def vjp(g):
         gv = g.reshape(xv.shape)
@@ -493,15 +549,38 @@ def batch_norm(x, gamma, beta, mode="train", stats=None):
             dx = dx.reshape(x.shape)
         return dx, inv * sum_gxc, sum_g
 
-    return _node(out.reshape(x.shape), "batch_norm", (x, gamma, beta), vjp)
+    return _with_recipe(_node(output(centred), "batch_norm", (x, gamma, beta), vjp), output)
 
 
 def relu(x):
     """Elementwise max(0, x); subgradient at 0 defined as 0. The backward
     masks with the output, which is > 0 exactly where x is, so x's value
-    stays off the tape."""
+    stays off the tape.
+
+    Over a batch-norm output that has a recipe, the output is not kept
+    either: its recipe takes np.maximum, in place, of the new array batch
+    norm's recipe returns, and keeps it in one slot. The first backward
+    reader (the next conv's dK, or the max pool's) fills the slot and this
+    op's backward, which masks with it, clears it. A deferred weight
+    gradient, which reads after the walk, rebuilds the value again.
+    """
     r = np.maximum(x.data, 0)
-    return _node(r, "relu", (x,), lambda g: (g * (r > 0),))
+    if x.recipe is None or x.op != "batch_norm":
+        return _node(r, "relu", (x,), lambda g: (g * (r > 0),))
+    rebuild, slot = x.recipe, []
+
+    def recipe():
+        if not slot:
+            v = rebuild()
+            slot.append(np.maximum(v, 0, out=v))
+        return slot[0]
+
+    def vjp(g):
+        mask = recipe() > 0
+        slot.clear()
+        return (g * mask,)
+
+    return _with_recipe(_node(r, "relu", (x,), vjp), recipe)
 
 
 def pool(x, mode, window, stride=None):
@@ -509,7 +588,8 @@ def pool(x, mode, window, stride=None):
 
     Max pooling is a running maximum over the window**2 strided slabs
     ``x[:, :, u::stride, v::stride]``; the backward sends each gradient to
-    the first slab, in row-major order, that holds the maximum. Average
+    the first slab, in row-major order, that holds the maximum, reading x
+    through ``_saved(x)`` (in the network, the stem's rebuilt ReLU). Average
     pooling needs window == H == W: a per-channel mean, backward g/(H*W).
     """
     if mode not in ("max", "avg"):
@@ -540,12 +620,14 @@ def pool(x, mode, window, stride=None):
     top = slab(x.data, 0, 0).copy()
     for u, v in offsets[1:]:
         np.maximum(top, slab(x.data, u, v), out=top)
+    saved, shape, dtype = _saved(x), x.shape, x.dtype
 
     def vjp(g):
-        dx = np.zeros_like(x.data)
+        xd = saved()
+        dx = np.zeros(shape, dtype=dtype)
         free = np.ones(top.shape, dtype=bool)   # outputs no earlier slab has taken
         for u, v in offsets:
-            hit = free & (slab(x.data, u, v) == top)
+            hit = free & (slab(xd, u, v) == top)
             free &= ~hit
             slab(dx, u, v)[...] += g * hit
         return (dx,)
@@ -570,14 +652,17 @@ def softmax(z):
 
 
 def pad2d(x, pad):
-    """Zero-pad the two spatial dims of x:(N,C,H,W) by ``pad`` on every side."""
+    """Zero-pad the two spatial dims of x:(N,C,H,W) by ``pad`` on every side.
+    Where x has a recipe, so has the output: np.pad of x's."""
     if x.data.ndim != 4:
         raise DimensionError(f"pad2d expects (N,C,H,W), got {x.shape}")
     pad = _integer("pad2d", "pad", pad, 0)
     if pad == 0:
         return x
-    return _node(np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad))), "pad2d", (x,),
-                 lambda g: (g[:, :, pad:-pad, pad:-pad],))
+    widths = ((0, 0), (0, 0), (pad, pad), (pad, pad))
+    out = _node(np.pad(x.data, widths), "pad2d", (x,), lambda g: (g[:, :, pad:-pad, pad:-pad],))
+    rebuild = x.recipe
+    return out if rebuild is None else _with_recipe(out, lambda: np.pad(rebuild(), widths))
 
 
 # ---------------------------------------------------------------------------

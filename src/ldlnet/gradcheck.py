@@ -210,6 +210,21 @@ def _op_cases(rng):
     # the network's commonest conv: its dK and dX come from the padded gradient's rows
     cases["conv2d_padded"] = _case(rng, conv(1, 1), x=_param(rng, 1, 2, 5, 5),
                                    k=_param(rng, 3, 2, 3, 3))
+    # values the tape rebuilds: the strided conv's dK reads the ReLU over batch norm
+    # through its recipe. beta puts each channel's kink mid-way in the widest gap
+    # between its scaled, normalized inputs (over the suite's 50 draws, 0.09 or
+    # more from every one). x is fixed: batch_norm_train checks dx, which at this
+    # size reads relative errors up to 2e-5
+    xn = ad.Tensor(rng.standard_normal((2, 3, 5, 5)), dtype=np.float64)
+    gn, kn = gamma(), _param(rng, 2, 3, 3, 3)
+    z = np.moveaxis(xn.data, 1, 0).reshape(3, -1)
+    z = z - z.mean(axis=1, keepdims=True)
+    z = np.sort(gn.data[:, None] * z / np.sqrt((z * z).mean(axis=1, keepdims=True) + ad.BN_EPS))
+    lo = np.argmax(np.diff(z), axis=1)
+    mid = (z[np.arange(3), lo] + z[np.arange(3), lo + 1]) / 2
+    cases["conv2d_over_bn_relu"] = _case(
+        rng, lambda g, b, k: conv(2, 1)(ad.relu(ad.batch_norm(xn, g, b, mode="train")), k),
+        gamma=gn, beta=ad.Tensor(-mid, requires_grad=True, dtype=np.float64), k=kn)
     return cases
 
 

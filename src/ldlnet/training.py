@@ -269,7 +269,10 @@ def _fit(dataset, spec, config, loss_of, on_eval):
         raise ConfigurationError("train needs at least 2 train samples (batch norm)")
     _check_images(ds, spec)
 
-    net = Network(spec)
+    try:
+        net = Network(spec)
+    except MemoryError as exc:
+        raise ConfigurationError(f"the network of {spec} is too large to allocate: {exc}") from exc
     init_weights(net, config.seed)
     records = net.param_records()
     velocities = {}

@@ -13,7 +13,7 @@ import pytest
 import ldlnet.autodiff as ad
 from ldlnet.distributions import batch_loss_graph
 from ldlnet.errors import BatchSizeError, ConfigurationError, DimensionError
-from ldlnet.gradcheck import end_to_end_check, grad_check, gradient_suite
+from ldlnet.gradcheck import _op_cases, end_to_end_check, grad_check, gradient_suite
 from ldlnet.network import Network, NetworkSpec, init_weights
 
 
@@ -108,6 +108,11 @@ class TestConv2d:
     def test_stride_one_forward_keeps_no_window_rows(self):
         # dK comes from the backward's gradient rows against x, which the tape holds anyway
         self._check_forward_holds_only_its_output((2, 64, 28, 28), (64, 64, 3, 3), pad=1, seed=14)
+
+    def test_strided_forward_keeps_no_window_rows(self):
+        # the backward rebuilds the window rows of x, which the tape holds anyway
+        self._check_forward_holds_only_its_output((2, 64, 28, 28), (64, 64, 3, 3), pad=1, seed=16,
+                                                  stride=2)
 
     def test_pointwise_backward_sums_dk_without_a_batch_stack(self):
         # dK is summed image by image: no (N, F, C) stack of per-image products
@@ -620,7 +625,8 @@ def _tiny_step(spec=TINY, record=None):
 
     With ``record`` (a list), every op the network's forward records through
     ``autodiff._node`` appends (op, weakref to its output's memory, weakrefs
-    to its parents' memory); the record holds no array itself.
+    to its parents' memory, the record index of the op that made each parent,
+    None for a leaf); the record holds no array itself.
     """
     net = Network(spec)
     init_weights(net, 0)
@@ -628,11 +634,15 @@ def _tiny_step(spec=TINY, record=None):
     images = rng.random((2, 3, spec.input_size, spec.input_size), dtype=np.float32)
     targets = rng.dirichlet(np.ones(spec.num_labels), size=2).astype(np.float32)
     real = ad._node
+    made_by = {}   # id of a live output Tensor -> its record index
 
     def watch(value, op, parents, vjp):
         record.append((op, weakref.ref(_owner(value)),
-                       [weakref.ref(_owner(p.data)) for p in parents]))
-        return real(value, op, parents, vjp)
+                       [weakref.ref(_owner(p.data)) for p in parents],
+                       [made_by.get(id(p)) for p in parents]))
+        out = real(value, op, parents, vjp)
+        made_by[id(out)] = len(record) - 1
+        return out
 
     if record is not None:
         ad._node = watch
@@ -647,7 +657,7 @@ class TestTapeRelease:
     def test_backward_frees_the_tape_and_leaves_keep_their_gradients(self):
         record = []
         net, out, loss = _tiny_step(record=record)
-        convs = [ref for op, ref, _ in record if op == "conv2d"]
+        convs = [ref for op, ref, _, _ in record if op == "conv2d"]
         conv_data = convs[len(convs) // 2]
         assert conv_data() is not None
         order = ad._topo_order(loss.node)
@@ -664,16 +674,31 @@ class TestTapeRelease:
 
     @pytest.mark.parametrize("spec", [TINY, TINY_BOTTLENECK], ids=["basic", "bottleneck_padded_pool"])
     def test_the_tape_keeps_no_value_a_backward_does_not_read(self, spec):
+        # a ReLU over batch norm, and the pad2d of one, are rebuilt in the backward
+        # from batch norm's input; every other conv or max-pool input an op made
+        # stays (the stem conv keeps the image's window rows, not the image)
         record = []
         net, _, loss = _tiny_step(spec, record)
-        ops = [op for op, _, _ in record]
+        ops = [op for op, _, _, _ in record]
         assert {"batch_norm", "add", "conv2d", "max_pool"} <= set(ops)
         assert ("pad2d" in ops) == (spec.stem_pool_pad > 0)
-        for op, value, parents in record:
+
+        def rebuilt(i):
+            op, _, _, makers = record[i]
+            if op == "pad2d":
+                return rebuilt(makers[0])
+            return op == "relu" and record[makers[0]][0] == "batch_norm"
+
+        freed = 0
+        for op, value, parents, makers in record:
             if op in ("batch_norm", "add"):
                 assert value() is None, op
-            if op in ("conv2d", "max_pool"):
-                assert parents[0]() is not None, op
+            if op in ("conv2d", "max_pool") and makers[0] is not None:
+                gone = rebuilt(makers[0])
+                assert (parents[0]() is None) == gone, op
+                freed += gone
+        # every block's mid-block ReLUs, and the stem's ReLU or its pad2d copy
+        assert freed == sum(len(blk.units) - 1 for blocks in net.stages for blk in blocks) + 1
         loss.backward()
         got = {r.name: r.tensor.grad for r in net.param_records()}
 
@@ -681,6 +706,45 @@ class TestTapeRelease:
         loss.backward()
         for rec in net.param_records():
             assert np.array_equal(got[rec.name], rec.tensor.grad), rec.name
+
+    def test_a_forward_leaves_one_form_of_each_value_on_the_tape(self):
+        # the numpy bytes a forward leaves alive are the batch-norm inputs, the
+        # block-output ReLU outputs, the stem's window rows, the max-pool output,
+        # the five per-channel vectors of each batch norm (mu, var, 1/std, s and the
+        # copy of beta) and the head's outputs, which the caller holds: a second
+        # form of any value, such as a kept mid-block ReLU output, exceeds the sum
+        spec = TINY_BOTTLENECK
+        net = Network(spec)
+        init_weights(net, 0)
+        images = np.random.default_rng(21).random((2, 3, 16, 16), dtype=np.float32)
+        made = []   # (op, output bytes, the ops that made the parents, parent bytes)
+        real = ad._node
+
+        def watch(value, op, parents, vjp):
+            made.append((op, value.nbytes, [p.op for p in parents], [p.data.nbytes for p in parents]))
+            return real(value, op, parents, vjp)
+
+        ad._node = watch
+        tracemalloc.start()
+        try:
+            out = net.forward(images, mode="train")
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+            ad._node = real
+        numpy_domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        held = sum(t.size for t in snapshot.filter_traces([numpy_domain]).traces)
+
+        assert made[0][0] == "conv2d" and made[0][2][0] == "leaf"   # the stem conv reads the image
+        stem_rows = made[0][1] // spec.stage_widths[0] * spec.stem_kernel ** 2 * 3
+        expected = (sum(sizes[0] for op, _, _, sizes in made if op == "batch_norm")
+                    + sum(size for op, size, parent_ops, _ in made
+                          if op == "relu" and parent_ops == ["add"])
+                    + sum(size for op, size, _, _ in made if op == "max_pool")
+                    + stem_rows
+                    + 5 * sum(s.mean.nbytes for s in net.running_stats())
+                    + sum(t.data.nbytes for t in (out.features, out.logits, out.distribution)))
+        assert held <= expected, (held, expected)
 
     def test_second_backward_raises_and_leaves_gradients_alone(self):
         net, _, loss = _tiny_step()
@@ -711,6 +775,9 @@ DEFERRED_CONVS = {
     "strided_pointwise": ((2, 16, 4, 4), (128, 16, 1, 1), 2, 0, True),
     "strided_3x3": ((2, 8, 6, 6), (32, 8, 3, 3), 2, 1, True),
     "input_without_gradient": ((2, 16, 4, 4), (32, 16, 3, 3), 1, 1, False),
+    # read through a recipe: the ReLU over batch norm is rebuilt for the deferred dK
+    "relu_over_batch_norm": ((2, 16, 4, 4), (32, 16, 3, 3), 1, 1, True),
+    "strided_relu_over_batch_norm": ((2, 8, 6, 6), (32, 8, 3, 3), 2, 1, True),
 }
 
 # a bottleneck net whose last stage (1x1 maps at batch 2) has kernels larger than its activations
@@ -719,13 +786,20 @@ LAST_STAGE_HEAVY = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 8, 16
 
 
 def _deferred_conv(case, seed=40):
-    """A conv of DEFERRED_CONVS behind a scale (whose backward the walk runs after the
-    conv's), and the loss sum(out * w) whose output gradient is w exactly."""
+    """A conv of DEFERRED_CONVS behind a scale, or a ReLU over batch norm (whose
+    backward the walk runs after the conv's), and the loss sum(out * w) whose output
+    gradient is w exactly."""
     xs, ks, stride, pad, x_grad = DEFERRED_CONVS[case]
     rng = np.random.default_rng(seed)
     x0 = ad.Tensor(rng.standard_normal(xs).astype(np.float32), requires_grad=x_grad)
     k = ad.Tensor(rng.standard_normal(ks).astype(np.float32), requires_grad=True)
-    x = ad.scale(x0, 1.0)
+    if case.endswith("relu_over_batch_norm"):
+        c = xs[1]
+        x = ad.relu(ad.batch_norm(x0, ad.Tensor(np.ones(c, np.float32), requires_grad=True),
+                                  ad.Tensor(np.zeros(c, np.float32), requires_grad=True)))
+        assert x.recipe is not None
+    else:
+        x = ad.scale(x0, 1.0)
     out = ad.conv2d(x, k, stride=stride, pad=pad)
     w = rng.standard_normal(out.shape).astype(np.float32)
     return x0, x, k, out, w, ad.tsum(ad.mul_const(out, w))
@@ -857,13 +931,14 @@ class TestGradientGating:
 SUITE_CASES = ["dense", "conv2d", "conv2d_strided", "batch_norm_train", "batch_norm_eval",
                "relu", "max_pool", "global_avg_pool", "add", "softmax", "pad2d",
                "euclidean_graph", "euclidean_sq_graph", "kl_graph", "conv2d_pointwise",
-               "conv2d_padded"]
+               "conv2d_padded", "conv2d_over_bn_relu"]
 # the suite's cases that call each network op
 CASES_OF_OP = {
     "dense": {"dense"},
-    "conv2d": {"conv2d", "conv2d_strided", "conv2d_pointwise", "conv2d_padded"},
-    "batch_norm": {"batch_norm_train", "batch_norm_eval"},
-    "relu": {"relu"},
+    "conv2d": {"conv2d", "conv2d_strided", "conv2d_pointwise", "conv2d_padded",
+               "conv2d_over_bn_relu"},
+    "batch_norm": {"batch_norm_train", "batch_norm_eval", "conv2d_over_bn_relu"},
+    "relu": {"relu", "conv2d_over_bn_relu"},
     "pool": {"max_pool", "global_avg_pool"},
     "add": {"add"},
     "softmax": {"softmax", "euclidean_graph", "euclidean_sq_graph", "kl_graph"},
@@ -891,6 +966,23 @@ class TestGradCheckHarness:
         worst, passed = gradient_suite(num_seeds=1, tol=1e-5)
         assert not passed
         assert {name for name, err in worst.items() if err > 1e-5} == CASES_OF_OP[op], worst
+
+    def test_the_rebuilt_relu_case_keeps_every_input_off_the_kink(self, monkeypatch):
+        # the draws of the acceptance suite: no batch-norm output within 0.05 of 0
+        outputs = []
+        right = ad.batch_norm
+
+        def recording(*args, **kwargs):
+            out = right(*args, **kwargs)
+            outputs.append(out.data)
+            return out
+
+        monkeypatch.setattr(ad, "batch_norm", recording)
+        for s in range(50):
+            _, loss_fn = _op_cases(np.random.default_rng(1000 + s))["conv2d_over_bn_relu"]
+            outputs.clear()
+            loss_fn()
+            assert len(outputs) == 1 and np.abs(outputs[0]).min() >= 0.05, s
 
     @pytest.mark.parametrize("num_seeds", [0, -2, 1.0])
     def test_suite_without_a_draw_is_refused(self, num_seeds):

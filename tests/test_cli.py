@@ -255,6 +255,23 @@ class TestExitCodes:
         assert done.returncode == 3, done.stderr
         assert "does not match the records" in done.stderr
 
+    def test_train_network_too_large_to_build_is_one(self, tmp_path):
+        # a 100000-wide stage 4 needs a 335 GiB kernel; as above, the child's
+        # address-space limit refuses it whatever the host's overcommit policy
+        import ldlnet
+        index = tmp_path / "d.idx"
+        assert main(["synth", "--out", str(index), "--n", "24", "--image-size", "16",
+                     "--seed", "5"]) == 0
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ldlnet.__file__))}
+        done = subprocess.run(
+            [sys.executable, "-c", _RLIMITED_MAIN, "train", "--data", str(index),
+             "--out", str(tmp_path / "m.ckpt"), "--iters", "1", "--batch", "4",
+             "--input-size", "16", "--widths", "1,1,1,100000"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert "too large to allocate" in done.stderr and "Traceback" not in done.stderr
+        assert not (tmp_path / "m.ckpt").exists()
+
     @pytest.mark.parametrize("num_labels", [1, 3])
     def test_head_that_does_not_fit_the_scale_is_one(self, tmp_path, capsys, num_labels):
         # a scalar head predicts no distribution; three levels are not the
