@@ -9,7 +9,7 @@ the same parser, and a switch takes 1/0, true/false, yes/no or on/off.
 
 Exit codes:
     0  success
-    1  usage or configuration error, and any other LdlError
+    1  usage or configuration error, any other LdlError, or too large to allocate
     2  file not found / unreadable referenced file (a directory, no permission)
     3  invalid data or checkpoint format
     4  numerical failure (non-finite values)
@@ -210,9 +210,9 @@ def _check_outputs(*paths):
 def _network_from_checkpoint(path):
     """The network of a distribution-head checkpoint (eval and predict).
 
-    A header spec that cannot be built, or whose network does not fit the
-    records (other names or shapes, or too large to allocate: the records
-    of a matching spec are already in memory), is a checkpoint error.
+    A header spec whose network does not fit the records (other names or
+    shapes, or too large to allocate: the records of a matching spec are
+    already in memory) is a checkpoint error.
     """
     ckpt = checkpoint.load(path)
     if ckpt.spec.num_labels < 2:
@@ -388,6 +388,7 @@ _VERBS = {
 # first matching row wins, so subclasses precede their bases
 _EXIT_CODES = {
     UsageError: 1,
+    MemoryError: 1,   # numpy refuses the allocation at once
     OSError: 2,   # absent, a directory, unreadable
     DatasetError: 2,
     ValidationError: 3,
@@ -406,7 +407,8 @@ def main(argv=None):
         _print_config(cmd)
         return _VERBS[cmd.verb][1](cmd)
     except tuple(_EXIT_CODES) as exc:
-        label = "usage error" if isinstance(exc, UsageError) else "error"
+        label = ("usage error" if isinstance(exc, UsageError) else
+                 "error: too large to allocate" if isinstance(exc, MemoryError) else "error")
         print(f"{label}: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 

@@ -29,7 +29,7 @@ BRANCH_END_GAMMA = 0.1
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture description; defaults are the desk-scale configuration."""
+    """Architecture, desk-scale by default; refused when made if its stem pool outgrows its map."""
 
     block_counts: tuple = (1, 1, 1, 1)
     stage_widths: tuple = (8, 16, 32, 64)
@@ -59,6 +59,7 @@ class NetworkSpec:
                      "stem_pool_window", "stem_pool_stride", "stem_pool_pad"):
             low = 0 if name == "stem_pool_pad" else 1
             object.__setattr__(self, name, _integer("NetworkSpec", name, getattr(self, name), low))
+        stage_spatial_sizes(self)
 
     def weighted_layer_count(self):
         """Main-path conv layers plus stem conv plus the dense head."""
@@ -88,9 +89,9 @@ def stage_spatial_sizes(spec):
     """Spatial side after the stem and after each block group.
 
     Raises a configuration error when the stem pool window exceeds its padded
-    input. Nothing else can collapse a map: the stem conv pads by
-    kernel // 2, so a valid spec (input_size >= 1) leaves it at least one
-    pixel, and every later map is ceil(size / 2) of the one before.
+    input, which :class:`NetworkSpec` checks when it is made. Nothing else can
+    collapse a map: the stem conv pads by kernel // 2, so input_size >= 1
+    leaves it at least one pixel, and each later map is ceil(size / 2).
     """
     size = spec.input_size
     size = (size + 2 * (spec.stem_kernel // 2) - spec.stem_kernel) // spec.stem_stride + 1

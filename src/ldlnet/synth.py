@@ -55,7 +55,7 @@ def _mouth(yy, xx, cy, cx, half_width, curve, half_thick, aa):
 def render_face_card(size, u_sym, u_space, u_mouth):
     """Draw the card for one (symmetry, spacing, mouth) triple as (3,size,size)."""
     coords = (np.arange(size) + 0.5) / size
-    yy, xx = np.meshgrid(coords, coords, indexing="ij")
+    yy, xx = coords[:, None], coords[None, :]   # broadcast to (size, size)
     aa = 1.0 / size  # one-pixel soft edge
 
     half_sp = 0.14 + 0.12 * u_space

@@ -150,6 +150,13 @@ class TestHeaderSpec:
             ckpt_io.load(_with_header(tmp_path / "bad.ckpt", spec=spec))
         assert key in str(exc.value)
 
+    def test_spec_whose_stem_pool_collapses_its_map_is_refused(self, tmp_path):
+        # every field is valid alone; a 1-pixel input leaves the 2-wide pool
+        # nothing to cover, so no network of this spec can be built
+        spec = {**asdict(TOY), "input_size": 1}
+        with pytest.raises(CheckpointError, match="stem pool"):
+            ckpt_io.load(_with_header(tmp_path / "collapse.ckpt", spec=spec))
+
 
 BAD_COUNTS = [5.9, 7.0, "7", True, False, -1, None, [1]]
 BAD_LABELS = [

@@ -142,6 +142,15 @@ class TestOptionTable:
                      "--lr", "nan"]) == 1
         assert "base_lr must be a finite number" in capsys.readouterr().err
 
+    def test_collapsing_stem_pool_fails_before_loading_data(self, tmp_path, capsys, monkeypatch):
+        from ldlnet import cli
+        loads = []
+        monkeypatch.setattr(cli.data, "load_index", lambda *a, **k: loads.append(a))
+        assert main(["train", "--data", str(tmp_path / "d.idx"), "--out", str(tmp_path / "m"),
+                     "--input-size", "1"]) == 1
+        assert "stem pool" in capsys.readouterr().err
+        assert loads == []
+
 
 _RLIMITED_MAIN = """
 import resource, sys
@@ -151,8 +160,9 @@ sys.exit(main(sys.argv[1:]))
 """
 
 
-def _toy_checkpoint_with_widths(path, widths):
-    """A toy network's checkpoint whose header claims ``stage_widths`` instead."""
+def _toy_checkpoint_with_widths(path, widths, **fields):
+    """A toy network's checkpoint whose header claims ``stage_widths`` (and
+    any other spec ``fields``) instead."""
     import json
 
     from ldlnet import checkpoint as ckpt_io
@@ -164,7 +174,7 @@ def _toy_checkpoint_with_widths(path, widths):
     blob = path.read_bytes()
     (hlen,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12:12 + hlen])
-    header["spec"]["stage_widths"] = widths
+    header["spec"].update(stage_widths=widths, **fields)
     raw = json.dumps(header).encode("utf-8")
     path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw + blob[12 + hlen:])
     return path
@@ -271,6 +281,31 @@ class TestExitCodes:
         assert done.returncode == 1, done.stderr
         assert "too large to allocate" in done.stderr and "Traceback" not in done.stderr
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("verb,flags", [
+        ("train", ["--iters", "1", "--batch", "4", "--input-size", "1000000"]),
+        ("synth", ["--n", "24", "--image-size", "1000000"])])
+    def test_array_too_large_to_allocate_is_one(self, tmp_path, verb, flags):
+        # a 1000000-pixel side asks for terabytes when the images are resized
+        # (train) or drawn (synth); the child's address-space limit refuses it
+        import ldlnet
+        index = tmp_path / "d.idx"
+        assert main(["synth", "--out", str(index), "--n", "24", "--image-size", "16",
+                     "--seed", "5"]) == 0
+        paths = (["--data", str(index), "--out", str(tmp_path / "m.ckpt")] if verb == "train"
+                 else ["--out", str(tmp_path / "big.idx")])
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ldlnet.__file__))}
+        done = subprocess.run([sys.executable, "-c", _RLIMITED_MAIN, verb, *paths, *flags],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert "too large to allocate" in done.stderr and "Traceback" not in done.stderr
+
+    def test_export_refuses_a_checkpoint_whose_stem_pool_collapses(self, tmp_path, capsys):
+        path = _toy_checkpoint_with_widths(tmp_path / "m.ckpt", [4, 6, 8, 10], input_size=1)
+        assert main(["export", "--kind", "checkpoint", "--src", str(path),
+                     "--out", str(tmp_path / "out.ckpt")]) == 3
+        assert "stem pool" in capsys.readouterr().err
+        assert not (tmp_path / "out.ckpt").exists()
 
     @pytest.mark.parametrize("num_labels", [1, 3])
     def test_head_that_does_not_fit_the_scale_is_one(self, tmp_path, capsys, num_labels):

@@ -69,21 +69,21 @@ class TestSpec:
         # the stem conv pads by kernel // 2 and each later stage takes
         # ceil(size / 2), so every valid spec whose stem pool fits keeps
         # every map at least one pixel wide; the stem side is checked
-        # against the ops themselves
+        # against the ops themselves. A collapsing spec is refused when made
         grid = itertools.product(range(1, 8), range(1, 8), (1, 2, 3), (1, 2, 3), (1, 2), (0, 1))
         for size, kernel, stride, window, pool_stride, pad in grid:
-            spec = NetworkSpec(input_size=size, stem_kernel=kernel, stem_stride=stride,
-                               stem_pool_window=window, stem_pool_stride=pool_stride,
-                               stem_pool_pad=pad)
+            fields = dict(input_size=size, stem_kernel=kernel, stem_stride=stride,
+                          stem_pool_window=window, stem_pool_stride=pool_stride,
+                          stem_pool_pad=pad)
             x = ad.conv2d(ad.Tensor(np.zeros((1, 1, size, size))),
                           ad.Tensor(np.zeros((1, 1, kernel, kernel))),
                           stride=stride, pad=kernel // 2)
             x = ad.pad2d(x, pad)
             if window > x.shape[2]:
                 with pytest.raises(ConfigurationError, match="stem pool"):
-                    stage_spatial_sizes(spec)
+                    stage_spatial_sizes(NetworkSpec(**fields))
                 continue
-            sizes = stage_spatial_sizes(spec)
+            sizes = stage_spatial_sizes(NetworkSpec(**fields))
             assert sizes[0] == ad.pool(x, "max", window, pool_stride).shape[2]
             assert min(sizes) >= 1
 

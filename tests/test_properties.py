@@ -6,10 +6,12 @@ code; anything else escaping is a failure. Each byte property draws either
 arbitrary bytes or a valid file with a few bytes flipped, inserted, deleted
 or cut off; the checkpoint header property draws spec dicts with fields
 dropped, added or set to odd values, odd iteration and record counts, and
-odd score-scale labels. The conv2d, max-pool and batch-norm properties draw
-shapes (and windows, strides and pads) in and just outside each op's
-contract and check every accepted call against the direct-loop references
-of ``test_autodiff``; a refused call must raise an ``LdlError``.
+odd score-scale labels. The flag property sets one numeric or list flag of
+an ``ldl`` verb to an odd value, and the run must end in a documented exit
+code. The conv2d, max-pool and batch-norm properties draw shapes (and
+windows, strides and pads) in and just outside each op's contract and check
+every accepted call against the direct-loop references of
+``test_autodiff``; a refused call must raise an ``LdlError``.
 Example counts are bounded and the draws derandomized, so the suite grows
 by seconds and fails the same way on every run.
 """
@@ -17,12 +19,13 @@ by seconds and fails the same way on every run.
 import contextlib
 import io
 import json
+import resource
 import struct
 from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_autodiff import _batch_norm_reference, _conv_reference, _max_pool_grad_reference
@@ -217,6 +220,97 @@ def test_checkpoint_header_spec_ends_in_ldl_errors_or_exit_codes(tmp_path):
             assert main(args) in (0, 1, 3)
 
     check()
+
+
+# one entry of each list flag stands for the drawn value; n, iters, blocks,
+# augment_factor and seeds start long loops or many small allocations when
+# large, so they draw no long integer and no huge size
+_LIST_FLAGS = {"blocks": "1,1,1,{}", "widths": "2,2,2,{}", "crop": "0,0,16,{}"}
+_DRAWN_SMALL = {"n", "iters", "blocks", "augment_factor", "seeds"}
+_ODD_FLAG_VALUES = ("", "-1", "0", "nan", "inf", "1e400", " 1", "1 2", "1,", ",1")
+_LONG_INTEGER = "9" * 5000
+_HUGE_SIDE = "1000000"   # a side whose arrays need terabytes: refused at once
+_HUGE_FLAGS = {"input_size", "image_size", "widths"}
+# the other count of a pair that must be given together
+_PARTNERS = {"train_count": ["--test-count=6"], "test_count": ["--train-count=18"]}
+
+
+@st.composite
+def _odd_flags(draw, verbs):
+    """One verb, one of its numeric or list flags and an odd value for it; a
+    list flag gets the value as its last entry, the same with a space for a
+    comma, or a valid list an entry short or with a comma too many."""
+    verb = draw(st.sampled_from(sorted(verbs)))
+    flag = draw(st.sampled_from(verbs[verb]))
+    values = list(_ODD_FLAG_VALUES)
+    if flag not in _DRAWN_SMALL:
+        values.append(_LONG_INTEGER)
+    if flag in _HUGE_FLAGS:
+        values.append(_HUGE_SIDE)
+    value = draw(st.sampled_from(values))
+    if flag in _LIST_FLAGS:
+        odd, valid = (_LIST_FLAGS[flag].format(entry) for entry in (value, "2"))
+        value = draw(st.sampled_from([odd, odd.replace(",", " ", 1), valid[:-2], valid + ","]))
+    return verb, ["--" + flag.replace("_", "-") + "=" + value, *_PARTNERS.get(flag, [])]
+
+
+@contextlib.contextmanager
+def _address_space_capped():
+    """Cap this process's address space at its size plus 1 GiB, so an
+    allocation that needs terabytes fails at once whatever the host's
+    overcommit policy; the old limit is restored on exit."""
+    old = resource.getrlimit(resource.RLIMIT_AS)
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    resource.setrlimit(resource.RLIMIT_AS, (size + (1 << 30), old[1]))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, old)
+
+
+def test_odd_flag_values_end_in_a_documented_exit_code(tmp_path):
+    """Each verb with numeric or list flags (synth, train, predict,
+    gradcheck; eval and export have none) runs on 24 faces at 16 px,
+    widths 2,2,2,2 and two iterations, with one flag set to an odd value:
+    empty, signed, zero, non-finite, beyond the float range, 5000 digits, a
+    space, a comma too many or too few, or a side of 1000000 pixels. It must
+    end in an exit code of 0-6 and raise nothing. Still unbounded, and so
+    drawn small only: large --n, --iters, --blocks, --augment-factor and
+    --seeds start long loops or many small allocations."""
+    from ldlnet.cli import _VERBS
+    index = tmp_path / "d.idx"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", str(index), "--n", "24", "--image-size", "16"]) == 0
+    net = Network(NetworkSpec(stage_widths=(2, 2, 2, 2), input_size=16))
+    init_weights(net, 0)
+    ckpt_io.save(ckpt_io.Checkpoint.from_network(net), tmp_path / "m.ckpt")
+    base = {
+        "synth": ["--out", str(tmp_path / "s.idx"), "--n", "24", "--image-size", "16"],
+        "train": ["--data", str(index), "--out", str(tmp_path / "t.ckpt"), "--iters", "2",
+                  "--batch", "4", "--input-size", "16", "--widths", "2,2,2,2"],
+        "predict": ["--ckpt", str(tmp_path / "m.ckpt"),
+                    "--image", str(tmp_path / "d_images" / "img_00000.ppm")],
+        "gradcheck": ["--seeds", "1"],
+    }
+    verbs = {verb: flags for verb, (_, _, options) in _VERBS.items()
+             if (flags := [name for name, (kind, _, _) in options.items()
+                           if kind in (int, float) or name in _LIST_FLAGS])}
+    assert set(verbs) == set(base)   # eval and export have no numeric or list flag
+
+    @settings(FUZZ, max_examples=80)
+    @given(_odd_flags(verbs))
+    @example(("train", ["--input-size=" + _HUGE_SIDE]))
+    @example(("train", ["--widths=2,2,2," + _HUGE_SIDE]))
+    @example(("synth", ["--image-size=" + _HUGE_SIDE]))
+    def check(drawn):
+        verb, flags = drawn
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main([verb, *base[verb], *flags]) in range(7)
+
+    with _address_space_capped():
+        check()
 
 
 def test_valid_files_are_accepted(valid_files):
