@@ -3,9 +3,11 @@
 Verbs: synth, train, eval, predict, gradcheck, export; each is one row of
 ``_VERBS``: its help line, its runner and its options. Options resolve as
 defaults < config file < flags, and every run prints the resolved
-configuration before acting. A config file (--config) holds key=value lines
-and # comments; each value is written as its flag's value and converted by
-the same parser, and a switch takes 1/0, true/false, yes/no or on/off.
+configuration before acting. A config file (--config) holds key=value lines;
+a # at a line's start or after whitespace starts a comment. The parser
+converts each value as its flag's (a list flag's too, so a malformed
+--blocks, --widths or --crop stops the run before any file is read, naming
+path:line in a config file); a switch takes 1/0, true/false, yes/no or on/off.
 
 Exit codes:
     0  success
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -42,6 +45,7 @@ from .errors import (
     ValidationError,
     _integer,
     _real,
+    four_ints,
 )
 from .network import BLOCK_LAYOUTS, Network, NetworkSpec
 from .training import TrainConfig
@@ -63,8 +67,8 @@ _SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 # option -> (kind, default, help); a kind is a type, a tuple of choices, or
 # bool for a switch
 _SPEC_OPTS = {
-    "blocks": (str, ",".join(map(str, NetworkSpec.block_counts)), "block counts n1,n2,n3,n4"),
-    "widths": (str, ",".join(map(str, NetworkSpec.stage_widths)), "stage widths w1,w2,w3,w4"),
+    "blocks": (four_ints, NetworkSpec.block_counts, "block counts n1,n2,n3,n4"),
+    "widths": (four_ints, NetworkSpec.stage_widths, "stage widths w1,w2,w3,w4"),
     "block_kind": (tuple(BLOCK_LAYOUTS), NetworkSpec.block_kind, "residual block kind"),
     "no_skip": (bool, False, "disable the shortcut connections (plain network)"),
     "input_size": (int, NetworkSpec.input_size, "square network input side"),
@@ -125,7 +129,7 @@ def _read_config_file(path, verb, parser):
                 line = row.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise UsageError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})")
-            line = line.split("#", 1)[0].strip()
+            line = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
@@ -172,20 +176,10 @@ def _print_config(args):
             print(f"{key} = {value}")
 
 
-def _parse_int_tuple(text, what):
-    parts = str(text).replace(";", ",").split(",")
-    if len(parts) != 4:
-        raise UsageError(f"{what} needs 4 comma-separated integers, got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise UsageError(f"{what}: unparseable integer in {text!r}")
-
-
 def _spec_from(cmd):
     return NetworkSpec(
-        block_counts=_parse_int_tuple(cmd.blocks, "--blocks"),
-        stage_widths=_parse_int_tuple(cmd.widths, "--widths"),
+        block_counts=cmd.blocks,
+        stage_widths=cmd.widths,
         block_kind=cmd.block_kind,
         skip_connections=not cmd.no_skip,
         input_size=cmd.input_size,
@@ -292,8 +286,7 @@ def _run_eval(cmd):
 
 def _run_predict(cmd):
     net, ckpt = _network_from_checkpoint(cmd.ckpt)
-    crop = _parse_int_tuple(cmd.crop, "--crop") if cmd.crop else None
-    image = imaging.normalize_image(imageio.read_image(cmd.image), crop=crop,
+    image = imaging.normalize_image(imageio.read_image(cmd.image), crop=cmd.crop,
                                     target=net.spec.input_size)
     with ad.no_grad():
         out = net.forward(image[None], mode="eval")
@@ -367,7 +360,7 @@ _VERBS = {
     "predict": ("predict the score distribution and weighted mean for one image", _run_predict, {
         "ckpt": (str, REQUIRED, "checkpoint path"),
         "image": (str, REQUIRED, "image path, PPM or PNG"),
-        "crop": (str, None, "face crop box x0,y0,x1,y1"),
+        "crop": (four_ints, None, "face crop box x0,y0,x1,y1"),
     }),
     "gradcheck": ("run the finite-difference gradient suite (nonzero exit on failure)",
                   _run_gradcheck, {

@@ -26,6 +26,7 @@ from .errors import (
     ValidationError,
     _integer,
     _real,
+    four_ints,
 )
 from .imageio import read_image, write_ppm
 from .imaging import ColorPCA, adjust_contrast, normalize_image, pca_color_shift, rotate_image
@@ -171,16 +172,6 @@ def save_index(dataset, index_path, labels="auto"):
     return index_path
 
 
-def _parse_crop(token, lineno):
-    parts = token.split("=", 1)[1].split(";")
-    if len(parts) != 4:
-        raise ValidationError(f"row {lineno}: crop needs 4 values, got {token!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError:
-        raise ValidationError(f"row {lineno}: unparseable crop value in {token!r}")
-
-
 def _parse_floats(text, lineno, what):
     try:
         return [float(v) for v in text.split(";") if v]
@@ -213,8 +204,9 @@ def load_index(index_path, image_size=None):
     """Read an index file into a Dataset on the 1-5 ScoreScale (all samples in the train split).
 
     When ``image_size`` is given every image is normalized (crop, square
-    zero-pad, resize); otherwise images are kept at their stored size and
-    crops must be absent.
+    zero-pad, resize); otherwise an uncropped image keeps its stored size and
+    a cropped one is cut and squared at the crop's natural resolution (its
+    longer side), as ``ldl export --kind dataset`` writes it.
     """
     if image_size is not None:
         image_size = _integer("load_index", "image_size", image_size, 1)
@@ -241,7 +233,10 @@ def load_index(index_path, image_size=None):
             if len(parts) == 3:
                 if not parts[1].startswith("crop="):
                     raise ValidationError(f"row {lineno}: unrecognized field {parts[1]!r}")
-                crop = _parse_crop(parts[1], lineno)
+                try:
+                    crop = four_ints(parts[1][len("crop="):])
+                except ValueError as exc:
+                    raise ValidationError(f"row {lineno}: crop {exc}") from exc
             elif len(parts) > 3:
                 raise ValidationError(f"row {lineno}: too many fields in {line!r}")
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer and real
-checks every entry point uses."""
+"""Exception types shared across the package, the integer and real checks
+every entry point uses, and the reader of 4-integer lists."""
 
 import math
 import numbers
@@ -57,6 +57,16 @@ def _real(op, name, value, low, high=math.inf, closed=False):
                  f"in {'[' if closed else '('}{low}, {high}{']' if closed else ')'}")
         raise ConfigurationError(f"{op} {name} must be a finite number {where}, got {_shown(value)}")
     return number
+
+
+def four_ints(text):
+    """``text`` as 4 ints separated by ',' or ';', each read as ``int()`` reads
+    it; the type of the list flags (argparse names it) and of an index crop."""
+    try:
+        a, b, c, d = map(int, text.replace(";", ",").split(","))
+    except ValueError:
+        raise ValueError(f"needs 4 integers separated by ',' or ';', got {_shown(text)}") from None
+    return a, b, c, d
 
 
 class RangeError(LdlError):

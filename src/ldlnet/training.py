@@ -33,6 +33,7 @@ from .distributions import (
     batch_loss_graph,
     batch_loss_value,
     chebyshev,
+    euclidean_loss_graph,
     kl_loss,
     pearson,
 )
@@ -326,8 +327,8 @@ def train_mean_regression(dataset, spec, config):
 
     def squared_error(out, targets, ds, batch_idx):
         scores = np.array([ds.samples[i].mean_score for i in batch_idx], dtype=np.float32)
-        diff = ad.sub(ad.reshape(out.logits, (len(batch_idx),)), ad.Tensor(scores))
-        return ad.scale(ad.tsum(ad.mul(diff, diff)), 0.5 / len(batch_idx))
+        return ad.scale(euclidean_loss_graph(out.logits, scores[:, None], squared=True),
+                        1.0 / len(batch_idx))
 
     def on_eval(iteration, net, ds, loss):
         history.append((iteration, float(loss.data)))

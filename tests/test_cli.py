@@ -79,13 +79,29 @@ class TestParse:
 class TestOptionTable:
     def test_defaults_are_the_library_defaults(self):
         # the option table takes its defaults from TrainConfig and NetworkSpec,
-        # and _train_config and _spec_from map each option back to its field
-        from ldlnet.cli import _spec_from, _train_config
+        # and _train_config and _spec_from map each option back to its field;
+        # the other verbs' defaults are written twice, in the table and in
+        # the library signature, and must agree
+        import inspect
+
+        from ldlnet import data, gradcheck, synth, training
+        from ldlnet.cli import _VERBS, _spec_from, _train_config
         from ldlnet.network import NetworkSpec
         from ldlnet.training import TrainConfig
         cmd = parse(["train", "--data", "d", "--out", "m"])
         assert _train_config(cmd) == TrainConfig()
         assert _spec_from(cmd) == NetworkSpec()
+        twins = [("synth", synth.synth_dataset, {"raters": "raters", "noise_sd": "noise_sd",
+                                                 "bimodal_fraction": "bimodal_fraction",
+                                                 "image_size": "image_size", "seed": "seed"}),
+                 ("gradcheck", gradcheck.gradient_suite, {"seeds": "num_seeds", "tol": "tol"}),
+                 ("gradcheck", gradcheck.end_to_end_check, {"e2e_tol": "tol", "seed": "seed"}),
+                 ("eval", training.evaluate, {"loss": "loss_kind"}),
+                 ("export", data.save_index, {"labels_as": "labels"})]
+        for verb, function, options in twins:
+            parameters = inspect.signature(function).parameters
+            for option, parameter in options.items():
+                assert _VERBS[verb][2][option][1] == parameters[parameter].default, (verb, option)
 
     def test_required_options_say_so_in_help(self, capsys):
         with pytest.raises(SystemExit):
@@ -101,13 +117,32 @@ class TestOptionTable:
         assert (cmd.lr, cmd.last_lr_mult, cmd.out) == (-0.5, 10.0, "-dash=ok")
         assert not hasattr(cmd, "config")
 
-    @pytest.mark.parametrize("line", ["batch = 1.5", "loss = bogus"])
-    def test_config_conversion_error_names_the_line(self, tmp_path, line):
+    @pytest.mark.parametrize("line", ["batch = 1.5", "loss = bogus", "blocks = 1,2",
+                                      "widths = 1,2"])
+    def test_config_conversion_error_names_the_line(self, tmp_path, capsys, line):
+        # a short blocks or widths list exited 1 without the config file's path:line
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"seed = 3\n{line}\n")
-        with pytest.raises(UsageError) as exc:
-            parse(["train", "--data", "d", "--out", "m", "--config", str(cfg)])
-        assert f"{cfg}:2: bad value" in str(exc.value)
+        assert main(["train", "--data", str(tmp_path / "absent.idx"), "--out", "m",
+                     "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: bad value" in err and "--" + line.split()[0] in err
+
+    def test_list_flags_are_tuples_of_ints(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("widths = 4;6;8;10\n")
+        cmd = parse(["train", "--data", "d", "--out", "m", "--config", str(cfg),
+                     "--blocks", "1, 2,3 ,4"])
+        assert (cmd.blocks, cmd.widths) == ((1, 2, 3, 4), (4, 6, 8, 10))
+        cmd = parse(["predict", "--ckpt", "c", "--image", "i", "--crop=-1,0,5,6"])
+        assert cmd.crop == (-1, 0, 5, 6)
+
+    def test_hash_starts_a_comment_only_at_the_start_or_after_whitespace(self, tmp_path):
+        # 'out = runs#3.ckpt' read as 'out = runs'
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("#lr = 5\nout = runs#3.ckpt\nseed = 3  # note\nbatch = 8\t#tab\n")
+        cmd = parse(["train", "--data", "d", "--config", str(cfg)])
+        assert (cmd.out, cmd.seed, cmd.batch, cmd.lr) == ("runs#3.ckpt", 3, 8, 0.001)
 
     @pytest.mark.parametrize("word,value", [("yes", True), ("ON", True), ("1", True),
                                             ("True", True), ("off", False), ("0", False),
@@ -141,6 +176,17 @@ class TestOptionTable:
         assert main(["train", "--data", str(tmp_path / "absent.idx"), "--out", "m",
                      "--lr", "nan"]) == 1
         assert "base_lr must be a finite number" in capsys.readouterr().err
+
+    def test_bad_crop_fails_before_reading_any_file(self, tmp_path, capsys, monkeypatch):
+        # the crop was parsed after the checkpoint was read: an absent one exited 2
+        from ldlnet import cli
+        reads = []
+        monkeypatch.setattr(cli.checkpoint, "load", lambda *a: reads.append(a))
+        monkeypatch.setattr(cli.imageio, "read_image", lambda *a: reads.append(a))
+        assert main(["predict", "--ckpt", str(tmp_path / "absent.ckpt"),
+                     "--image", str(tmp_path / "absent.ppm"), "--crop", "1,2"]) == 1
+        assert "--crop" in capsys.readouterr().err
+        assert reads == []
 
     def test_collapsing_stem_pool_fails_before_loading_data(self, tmp_path, capsys, monkeypatch):
         from ldlnet import cli

@@ -370,6 +370,23 @@ class TestIndexFiles:
         ds = load_index(tmp_path / "d.idx", image_size=4)
         assert np.all(ds.samples[0].image > 0.99)
 
+    def test_crop_without_image_size_keeps_its_natural_resolution(self, tmp_path):
+        img = np.zeros((3, 10, 10), dtype=np.float32)
+        img[:, 2:6, 3:7] = 1.0
+        write_ppm(tmp_path / "a.ppm", img)
+        (tmp_path / "d.idx").write_text("a.ppm,crop=3;2;7;6,ratings:5\n"
+                                        "a.ppm,crop=3;2;5;6,ratings:5\n")
+        first, second = load_index(tmp_path / "d.idx").samples
+        assert first.image.shape == second.image.shape == (3, 4, 4)   # squared to the longer side
+        assert np.all(first.image > 0.99)
+
+    @pytest.mark.parametrize("crop", ["0;0;4", "0;0;4;4;4", "0;0;4;x", "0;0;4.5;4", "0;;4;4"])
+    def test_crop_that_is_not_four_integers_is_invalid_data_with_its_row(self, tmp_path, crop):
+        write_ppm(tmp_path / "a.ppm", np.zeros((3, 8, 8), dtype=np.float32))
+        (tmp_path / "d.idx").write_text(f"a.ppm,ratings:3\nghost.ppm,crop={crop},ratings:3\n")
+        with pytest.raises(ValidationError, match="^row 2: crop needs 4 integers"):
+            load_index(tmp_path / "d.idx")   # before the absent image is looked for
+
     def test_round_trip_preserves_distributions(self, tmp_path):
         ds = synth_dataset(8, raters=9, seed=9, image_size=16)
         idx = save_index(ds, tmp_path / "synth.idx")
