@@ -39,13 +39,14 @@ parents), so an array a queued callable captured still holds its value.
 A Tensor may also carry a ``recipe``: a zero-argument function that
 rebuilds its value bitwise from arrays the tape holds anyway, through the
 forward's own operations (the memory sharing of Chen et al. 2016, arXiv
-1604.06174). Ops set one after ``_node`` returns, and only on wired nodes:
-a ``batch_norm`` output gets one from its input, mu, s and a copy of beta,
+1604.06174). Ops set one after ``_node`` returns, and only on wired nodes
+with big values (below): a ``batch_norm`` output gets one from its input,
+mu, s and a copy of beta,
 a ``relu`` of a batch-norm output one from that recipe, and a ``pad2d`` of
 a value with a recipe one from that. A backward that reads a parent's value
 (conv2d's dK, the max pool's slab comparison) keeps ``_saved(parent)``, the
-recipe when there is one and a function returning the array otherwise, and
-the parent's node rather than the parent Tensor, so a value with a recipe
+recipe when there is one and the array otherwise (read through ``_value``),
+and the parent's node rather than the parent Tensor, so a value with a recipe
 is freed as soon as the forward has moved past it. A relu's recipe keeps
 what it rebuilt in a one-slot cache that the first backward reader fills
 and the relu's own backward, which masks with it, clears. The FLOPs and
@@ -53,6 +54,17 @@ operands do not change, so every gradient is bitwise what the stored values
 would give. This relies on one more rule: no op writes into an array a
 recipe reads; only relu's recipe writes, into the new array batch norm's
 recipe has just returned.
+
+Each of these memory tricks spends time to hold one array less, so each
+fires only for a big array, one of at least MIN_SAVED_BYTES (1 MiB): a
+batch-norm output gets a recipe (and so the relu over it and a pad2d of
+that) only when big, conv2d defers dK only for a big kernel, and keeps its
+window rows only when they are not big. Below that size a rebuild costs
+more time than its memory is worth: at the desk network's and smaller
+shapes the tricks would save about 2 MiB and cost 7-12% of a step. The
+threshold is a module constant, not an option; the gradient oracle
+(:mod:`ldlnet.gradcheck`) runs with it at 0, so that its small shapes take
+every trick.
 
 Training runs in float32; float64 exists for finite-difference verification
 (see :mod:`ldlnet.gradcheck`).
@@ -62,10 +74,11 @@ Every op takes and returns (N,C,H,W) activations. An unpadded 1x1
 (F,C) @ (C,H*W), with no layout copy. Every other ``conv2d`` computes
 channels-last inside the op: its window rows, matmuls and gradient buffers
 are (N,H,W,C), so each window is a run of kw*C contiguous floats and the
-input gradient needs no scatter. Only convs whose input needs no gradient
-keep their window rows on the tape; a strided conv rebuilds them from its
-saved input in the backward, and at stride 1 the window rows of the padded
-gradient, built for the input gradient, give the weight gradient as well.
+input gradient needs no scatter. A conv keeps its window rows on the tape
+only when they are not big; otherwise it rebuilds them from its saved input
+in the backward. At stride 1, when the input needs a gradient, the window
+rows of the padded gradient, built for the input gradient, give the weight
+gradient as well, and no input rows are kept.
 The op boundary stays NCHW because every other op, the network, the tests
 and gradcheck use that layout, and so does the benchmark's tracer, which
 counts conv FLOPs from NCHW output shapes.
@@ -80,6 +93,7 @@ from .errors import BatchSizeError, ConfigurationError, DimensionError, _integer
 _grad_enabled = True
 _deferred = None   # (leaf node, callable) pairs queued while Tensor.backward walks, else None
 BN_EPS = 1e-5   # added to the variance under batch norm's square root
+MIN_SAVED_BYTES = 1 << 20   # the least an array must hold for the tape to rebuild it or wait past it
 
 
 class no_grad:
@@ -238,19 +252,22 @@ def _node(value, op, parents, vjp):
 
 
 def _with_recipe(out, recipe):
-    """``out``, carrying ``recipe`` when its node is wired."""
-    if out.node._backward is not None:
+    """``out``, carrying ``recipe`` when its node is wired and its value holds
+    at least MIN_SAVED_BYTES."""
+    if out.node._backward is not None and out.data.nbytes >= MIN_SAVED_BYTES:
         out.recipe = recipe
     return out
 
 
 def _saved(t):
-    """What a backward keeps to read ``t``'s value: its recipe, or else a
-    function that returns its array."""
-    if t.recipe is not None:
-        return t.recipe
-    data = t.data
-    return lambda: data
+    """What a backward keeps to read ``t``'s value: its recipe, or else its
+    array. No closure is made, so the tape holds no object for it."""
+    return t.data if t.recipe is None else t.recipe
+
+
+def _value(saved):
+    """The value that ``_saved`` kept: the array, or what its recipe rebuilds."""
+    return saved() if callable(saved) else saved
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +323,31 @@ def _window_rows(a, kh, kw, stride):
     return win.reshape(n * ho * wo, kh * kw * c)
 
 
+def _input_rows(xd, kh, kw, stride, pad):
+    """The window rows of x:(N,C,H,W), zero-padded by ``pad``, as conv2d reads them."""
+    return _window_rows(_pad_hw(xd.transpose(0, 2, 3, 1), pad, pad), kh, kw, stride)
+
+
+def _grad_rows(gmat, n, ho, wo, kh, kw, pad):
+    """The stride-1 window rows of the channels-last gradient gmat:(N*Ho*Wo, F),
+    padded by kh-1-pad (cropped where pad is larger), that conv2d's
+    stride-1 backward reads."""
+    return _window_rows(_pad_hw(gmat.reshape(n, ho, wo, -1), kh - 1 - pad, kw - 1 - pad), kh, kw, 1)
+
+
+def _columns(xd, stride):
+    """The columns of an unpadded 1x1 conv over x:(N,C,H,W): every stride-th
+    pixel of each channel, as (N, C, Ho*Wo)."""
+    return xd[:, :, ::stride, ::stride].reshape(*xd.shape[:2], -1)
+
+
+def _defers(kd, operand_size):
+    """Whether conv2d hands back the weight gradient of kernels kd for the end
+    of the walk: they hold at least MIN_SAVED_BYTES and have more elements
+    than the operands its callable keeps (the output gradient and the input)."""
+    return kd.nbytes >= MIN_SAVED_BYTES and kd.size > operand_size
+
+
 def _kernel_rows(kd):
     """Kernels kd:(F,C,kh,kw) as an (F, kh*kw*C) matrix, columns ordered as window rows."""
     return kd.transpose(0, 2, 3, 1).reshape(kd.shape[0], -1)
@@ -334,14 +376,16 @@ def conv2d(x, k, stride=1, pad=0):
     (N*Ho*Wo, kh*kw*C) and multiplies them by the kernel reordered to
     (F, kh*kw*C) in one matmul (im2col, Chellapilla et al. 2006).
 
-    Only a conv whose input needs no gradient, such as the stem's image,
-    keeps its window rows, and then not its input: dK = gmat.T @ rows. A
-    strided conv whose input needs a gradient rebuilds the same rows from
-    ``_saved(x)`` in the backward, and adds dX as kh*kw slab adds of
-    contiguous C-runs into an (N,H,W,C) buffer.
+    The forward keeps its window rows, and then not its input, only when
+    they hold less than MIN_SAVED_BYTES: dK = gmat.T @ rows. Bigger rows,
+    such as the full-scale stem's, are rebuilt from ``_saved(x)`` in the
+    backward (the stem keeps the image instead). When x needs a gradient
+    and stride > 1, dX is kh*kw slab adds of contiguous C-runs into an
+    (N,H,W,C) buffer.
 
-    At stride 1, when x needs a gradient, the input gradient is the
-    stride-1 convolution of the gradient, padded by kh-1-pad (cropped when
+    At stride 1, when x needs a gradient, the forward keeps no rows,
+    whatever their size, and the input gradient is the stride-1
+    convolution of the gradient, padded by kh-1-pad (cropped when
     pad is larger), with the flipped, transposed kernels (Dumoulin & Visin
     2016): one matmul on the window rows ``grows`` of that padded gradient.
     The same rows give the weight gradient against x itself: with X the
@@ -352,14 +396,14 @@ def conv2d(x, k, stride=1, pad=0):
     and the tests use it. The reordered kernel is rebuilt in the backward
     rather than held on the tape.
 
-    When the kernel has more elements than the arrays its dK callable would
-    keep (the output gradient plus x or the kept window rows), the backward
-    hands dK back as a callable that ``Tensor.backward`` runs after its
-    walk: the callable keeps the gradient (``gmat`` channels-last) and what
-    the tape already held, and rebuilds the gradient or window rows rather
-    than keep them. In a ResNet-50 at batch 2 that is the stride-1 3x3 convs
-    of stage 3, the strided 3x3 convs of stages 3 and 4 and every stage-4
-    conv but the first block's 1x1 reduce.
+    When the kernel holds at least MIN_SAVED_BYTES and has more elements
+    than the output gradient plus x, the backward hands dK back as a
+    callable that ``Tensor.backward`` runs after its walk: the callable
+    keeps the gradient (``gmat`` channels-last) and what the tape already
+    held, and rebuilds the gradient or window rows rather than keep them.
+    In a ResNet-50 at batch 2 that is the stride-1 3x3 convs of stage 3,
+    the strided 3x3 convs of stages 3 and 4 and every stage-4 conv but the
+    first block's 1x1 reduce; at desk scale no kernel is that big.
     """
     if x.data.ndim != 4 or k.data.ndim != 4:
         raise DimensionError(f"conv2d expects 4-d operands, got {x.shape} and {k.shape}")
@@ -375,69 +419,60 @@ def conv2d(x, k, stride=1, pad=0):
             f"conv2d kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    xnode, dtype = x.node, x.dtype
+    xnode = x.node
 
     if kh == kw == 1 and pad == 0:
-        def columns(xd):
-            return xd[:, :, ::stride, ::stride].reshape(n, c, ho * wo)
-
         saved = _saved(x)
         k2 = k.data.reshape(f, c)
-        defer = k.data.size > n * f * ho * wo + x.data.size   # dK waits for the end of the walk
-
-        def weight_grad(gv):
-            cols = columns(saved())
-            dk = gv[0] @ cols[0].T
-            part = np.empty_like(dk)
-            for gi, ci in zip(gv[1:], cols[1:]):
-                dk += np.matmul(gi, ci.T, out=part)
-            return dk.reshape(k.shape)
 
         def vjp(g):
             gv = g.reshape(n, f, ho * wo)
+
+            def weight_grad():
+                cols = _columns(_value(saved), stride)
+                dk = gv[0] @ cols[0].T
+                part = np.empty_like(dk)
+                for gi, ci in zip(gv[1:], cols[1:]):
+                    dk += np.matmul(gi, ci.T, out=part)
+                return dk.reshape(k.shape)
+
             dk = None
             if k.requires_grad:
-                dk = (lambda: weight_grad(gv)) if defer else weight_grad(gv)
+                dk = weight_grad if _defers(k.data, g.size + n * c * h * w) else weight_grad()
             if not xnode.requires_grad:
                 return None, dk
             dx = np.matmul(k2.T, gv).reshape(n, c, ho, wo)
             if stride > 1:
-                dx, dcols = np.zeros((n, c, h, w), dtype=dtype), dx
+                dx, dcols = np.zeros((n, c, h, w), dtype=dx.dtype), dx
                 dx[:, :, ::stride, ::stride] = dcols
             return dx, dk
 
-        return _node(np.matmul(k2, columns(x.data)).reshape(n, f, ho, wo), "conv2d", (x, k), vjp)
+        return _node(np.matmul(k2, _columns(x.data, stride)).reshape(n, f, ho, wo), "conv2d", (x, k),
+                     vjp)
 
-    def input_rows(xd):
-        return _window_rows(_pad_hw(xd.transpose(0, 2, 3, 1), pad, pad), kh, kw, stride)
-
-    rows = input_rows(x.data)
+    rows = _input_rows(x.data, kh, kw, stride, pad)
     out = _nchw(rows @ _kernel_rows(k.data).T, n, ho, wo)
+    from_grad_rows = stride == 1 and xnode.requires_grad   # dK from the gradient's rows against x
     saved = None
-    if xnode.requires_grad:   # the backward rebuilds rows, or at stride 1 reads x itself
+    if from_grad_rows or rows.nbytes >= MIN_SAVED_BYTES:   # the backward reads x, not rows
         rows, saved = None, _saved(x)
-    from_grad_rows = stride == 1 and rows is None
-    defer = k.data.size > n * f * ho * wo + (x.data.size if rows is None else rows.size)
-
-    def grad_rows(gmat):
-        return _window_rows(
-            _pad_hw(gmat.reshape(n, ho, wo, f), kh - 1 - pad, kw - 1 - pad), kh, kw, 1)
-
-    def weight_grad(gmat, grows=None):
-        if not from_grad_rows:
-            m = gmat.T @ (input_rows(saved()) if rows is None else rows)
-            return np.ascontiguousarray(m.reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
-        if grows is None:
-            grows = grad_rows(gmat)
-        m = grows.T @ saved().transpose(0, 2, 3, 1).reshape(n * h * w, c)
-        return np.ascontiguousarray(m.reshape(kh, kw, f, c)[::-1, ::-1].transpose(2, 3, 0, 1))
 
     def vjp(g):
         gmat = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * ho * wo, f)
-        grows = grad_rows(gmat) if from_grad_rows else None
+        grows = _grad_rows(gmat, n, ho, wo, kh, kw, pad) if from_grad_rows else None
+
+        def weight_grad(grows=None):   # deferred, it rebuilds the rows it reads
+            if not from_grad_rows:
+                m = gmat.T @ (_input_rows(_value(saved), kh, kw, stride, pad) if rows is None else rows)
+                return np.ascontiguousarray(m.reshape(f, kh, kw, c).transpose(0, 3, 1, 2))
+            if grows is None:
+                grows = _grad_rows(gmat, n, ho, wo, kh, kw, pad)
+            m = grows.T @ _value(saved).transpose(0, 2, 3, 1).reshape(n * h * w, c)
+            return np.ascontiguousarray(m.reshape(kh, kw, f, c)[::-1, ::-1].transpose(2, 3, 0, 1))
+
         dk = None
         if k.requires_grad:
-            dk = (lambda: weight_grad(gmat)) if defer else weight_grad(gmat, grows)
+            dk = weight_grad if _defers(k.data, g.size + n * c * h * w) else weight_grad(grows)
         if from_grad_rows:
             kflip = k.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(c, kh * kw * f)
             return _nchw(grows @ kflip.T, n, h, w), dk
@@ -486,11 +521,12 @@ def batch_norm(x, gamma, beta, mode="train", stats=None):
     With ``inv`` = 1/sqrt(var + BN_EPS) and s = gamma*inv, the output is
     (x - mu)*s + beta. The tape keeps only x and the per-channel mu and
     ``inv`` of the forward, so later changes to ``stats`` do not reach the
-    backward. On a wired node the output's recipe rebuilds it bitwise from
-    x, mu, s and a copy of beta through the forward's own ops, so a relu
-    over it need not keep its output. The backward takes sum(g) and
-    sum(g*x) in one pass each and gets sum(g*(x - mu)) = sum(g*x) -
-    mu*sum(g) from them, with no normalized or centred copy of x:
+    backward. On a wired node whose output holds at least MIN_SAVED_BYTES,
+    the output's recipe rebuilds it bitwise from x, mu, s and a copy of
+    beta through the forward's own ops, so a relu over it need not keep its
+    output. The backward takes sum(g) and sum(g*x) in one pass each and
+    gets sum(g*(x - mu)) = sum(g*x) - mu*sum(g) from them, with no
+    normalized or centred copy of x:
     dgamma = inv*sum(g*(x - mu)),
     dbeta = sum(g), and in train mode, with m = N*H*W and
     b = s*inv**2*sum(g*(x - mu))/m,
@@ -557,12 +593,13 @@ def relu(x):
     masks with the output, which is > 0 exactly where x is, so x's value
     stays off the tape.
 
-    Over a batch-norm output that has a recipe, the output is not kept
-    either: its recipe takes np.maximum, in place, of the new array batch
-    norm's recipe returns, and keeps it in one slot. The first backward
-    reader (the next conv's dK, or the max pool's) fills the slot and this
-    op's backward, which masks with it, clears it. A deferred weight
-    gradient, which reads after the walk, rebuilds the value again.
+    Over a batch-norm output that has a recipe (one of at least
+    MIN_SAVED_BYTES), the output is not kept either: its recipe takes
+    np.maximum, in place, of the new array batch norm's recipe returns, and
+    keeps it in one slot. The first backward reader (the next conv's dK, or
+    the max pool's) fills the slot and this op's backward, which masks with
+    it, clears it. A deferred weight gradient, which reads after the walk,
+    rebuilds the value again.
     """
     r = np.maximum(x.data, 0)
     if x.recipe is None or x.op != "batch_norm":
@@ -623,7 +660,7 @@ def pool(x, mode, window, stride=None):
     saved, shape, dtype = _saved(x), x.shape, x.dtype
 
     def vjp(g):
-        xd = saved()
+        xd = _value(saved)
         dx = np.zeros(shape, dtype=dtype)
         free = np.ones(top.shape, dtype=bool)   # outputs no earlier slab has taken
         for u, v in offsets:

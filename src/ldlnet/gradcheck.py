@@ -7,6 +7,7 @@ would drown the comparison.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +142,19 @@ def grad_check(named_params, loss_fn, eps=1e-5, tol=1e-5, max_per_param=None, se
 # the op-by-op suite behind the CLI gradcheck verb and the acceptance gate
 # ---------------------------------------------------------------------------
 
+@contextmanager
+def _every_trick():
+    """The tape with ``autodiff.MIN_SAVED_BYTES`` at 0, so the small shapes
+    checked here set batch-norm recipes, rebuild window rows and defer weight
+    gradients wherever the tape's relative rules allow, as full-scale shapes
+    do; at the default threshold they would take only the eager paths."""
+    floor, ad.MIN_SAVED_BYTES = ad.MIN_SAVED_BYTES, 0
+    try:
+        yield
+    finally:
+        ad.MIN_SAVED_BYTES = floor
+
+
 def _param(rng, *shape):
     return ad.Tensor(rng.standard_normal(shape), requires_grad=True, dtype=np.float64)
 
@@ -230,21 +244,22 @@ def _op_cases(rng):
 
 def gradient_suite(num_seeds=50, tol=1e-5):
     """Run every op case over ``num_seeds`` random draws, each with
-    :func:`grad_check`'s default step eps = 1e-5.
+    :func:`grad_check`'s default step eps = 1e-5, under :func:`_every_trick`.
 
     Returns (per-op max rel err dict, passed flag).
     """
     _integer("gradient_suite", "num_seeds", num_seeds, 1)
     tol = _real("gradient_suite", "tol", tol, 0)
     worst = {}
-    for s in range(num_seeds):
-        rng = np.random.default_rng(1000 + s)
-        for name, (params, loss_fn) in _op_cases(rng).items():
-            rep = grad_check(params, loss_fn, tol=tol)
-            if rep.failure:
-                worst[name] = float("inf")
-                continue
-            worst[name] = max(worst.get(name, 0.0), rep.max_rel_err)
+    with _every_trick():
+        for s in range(num_seeds):
+            rng = np.random.default_rng(1000 + s)
+            for name, (params, loss_fn) in _op_cases(rng).items():
+                rep = grad_check(params, loss_fn, tol=tol)
+                if rep.failure:
+                    worst[name] = float("inf")
+                    continue
+                worst[name] = max(worst.get(name, 0.0), rep.max_rel_err)
     passed = all(v <= tol for v in worst.values())
     return worst, passed
 
@@ -255,8 +270,9 @@ def end_to_end_check(seed=0, tol=1e-4):
     Builds a float64 four-stage residual net, runs a train-mode forward into
     the unsquared distribution loss, and probes E2E_PER_PARAM sampled
     entries of every parameter tensor with :func:`grad_check`'s default step
-    eps = 1e-5. A smaller step is counterproductive here: deep-layer
-    elements carry tiny gradients, and secant roundoff swamps them.
+    eps = 1e-5, under :func:`_every_trick`. A smaller step is
+    counterproductive here: deep-layer elements carry tiny gradients, and
+    secant roundoff swamps them.
     """
     from .network import Network, NetworkSpec, init_weights
 
@@ -274,6 +290,7 @@ def end_to_end_check(seed=0, tol=1e-4):
         out = net.forward(ad.Tensor(batch, dtype=np.float64), mode="train")
         return ldl.euclidean_loss_graph(out.distribution, targets)
 
-    report = grad_check(net.named_parameters(), loss_fn, tol=tol,
-                        max_per_param=E2E_PER_PARAM, seed=seed)
+    with _every_trick():
+        report = grad_check(net.named_parameters(), loss_fn, tol=tol,
+                            max_per_param=E2E_PER_PARAM, seed=seed)
     return report, net.parameter_count()

@@ -20,6 +20,7 @@ from .errors import _integer, _real
 
 INK = 0.08          # feature darkness
 BACKGROUND = 0.92   # canvas brightness
+CARD_CHUNK_PIXELS = 64 * 32 * 32   # card pixels rendered per broadcast pass (64 cards at 32 px)
 
 # latent weights over (symmetry, spacing, mouth) scores
 _W_SYM, _W_SPACE, _W_MOUTH = 0.40, 0.25, 0.35
@@ -52,11 +53,13 @@ def _mouth(yy, xx, cy, cx, half_width, curve, half_thick, aa):
     return np.clip((half_thick - dy) / aa + 0.5, 0.0, 1.0) * inside
 
 
-def render_face_card(size, u_sym, u_space, u_mouth):
-    """Draw the card for one (symmetry, spacing, mouth) triple as (3,size,size)."""
+def render_face_cards(size, geometry):
+    """Draw the cards for the (k, 3) array of (symmetry, spacing, mouth)
+    triples in one broadcast pass, as (k,3,size,size)."""
     coords = (np.arange(size) + 0.5) / size
-    yy, xx = coords[:, None], coords[None, :]   # broadcast to (size, size)
+    yy, xx = coords[:, None], coords[None, :]   # broadcast to (k, size, size)
     aa = 1.0 / size  # one-pixel soft edge
+    u_sym, u_space, u_mouth = np.asarray(geometry, dtype=np.float64).T[:, :, None, None]
 
     half_sp = 0.14 + 0.12 * u_space
     droop = 0.12 * (1.0 - u_sym)
@@ -69,7 +72,12 @@ def render_face_card(size, u_sym, u_space, u_mouth):
 
     cover = np.clip(left + right + nose + mouth, 0.0, 1.0)
     gray = (BACKGROUND - cover * (BACKGROUND - INK)).astype(np.float32)
-    return np.repeat(gray[None, :, :], 3, axis=0)
+    return np.repeat(gray[:, None], 3, axis=1)
+
+
+def render_face_card(size, u_sym, u_space, u_mouth):
+    """Draw the card for one (symmetry, spacing, mouth) triple as (3,size,size)."""
+    return render_face_cards(size, [(u_sym, u_space, u_mouth)])[0]
 
 
 def simulate_ratings(t, raters, noise_sd, bimodal, rng, lo=1, hi=5):
@@ -97,16 +105,23 @@ def synth_dataset(n, raters=70, noise_sd=0.4, bimodal_fraction=0.1, seed=0, imag
 
     scale = ScoreScale()
     rng = np.random.default_rng(seed)
-    samples = []
+    geometry, drawn = [], []
     for _ in range(n):
-        u_sym, u_space, u_mouth = rng.uniform(size=3)
-        t = latent_attractiveness(u_sym, u_space, u_mouth)
+        u = rng.uniform(size=3)
+        t = latent_attractiveness(*u)
         bimodal = rng.uniform() < bimodal_fraction
         ratings = simulate_ratings(t, raters, noise_sd, bimodal, rng,
                                    lo=scale.labels[0], hi=scale.labels[-1])
+        geometry.append(u)
+        drawn.append((t, ratings))
+    per_chunk = max(1, CARD_CHUNK_PIXELS // image_size ** 2)
+    images = [card for i in range(0, n, per_chunk)
+              for card in render_face_cards(image_size, geometry[i:i + per_chunk])]
+    samples = []
+    for image, (t, ratings) in zip(images, drawn):
         dist = distribution_from_ratings(ratings, scale)
         samples.append(Sample(
-            image=render_face_card(image_size, u_sym, u_space, u_mouth),
+            image=image,
             ratings=[float(r) for r in ratings],
             distribution=dist,
             mean_score=weighted_mean(dist, scale),
