@@ -41,19 +41,15 @@ rebuilds its value bitwise from arrays the tape holds anyway, through the
 forward's own operations (the memory sharing of Chen et al. 2016, arXiv
 1604.06174). Ops set one after ``_node`` returns, and only on wired nodes
 with big values (below): a ``batch_norm`` output gets one from its input,
-mu, s and a copy of beta,
-a ``relu`` of a batch-norm output one from that recipe, and a ``pad2d`` of
-a value with a recipe one from that. A backward that reads a parent's value
+mu, s and a copy of beta, and a ``relu`` or ``pad2d`` of a value with a
+recipe one from that recipe. A backward that reads a parent's value
 (conv2d's dK, the max pool's slab comparison) keeps ``_saved(parent)``, the
 recipe when there is one and the array otherwise (read through ``_value``),
 and the parent's node rather than the parent Tensor, so a value with a recipe
-is freed as soon as the forward has moved past it. A relu's recipe keeps
-what it rebuilt in a one-slot cache that the first backward reader fills
-and the relu's own backward, which masks with it, clears. The FLOPs and
-operands do not change, so every gradient is bitwise what the stored values
-would give. This relies on one more rule: no op writes into an array a
-recipe reads; only relu's recipe writes, into the new array batch norm's
-recipe has just returned.
+is freed as soon as the forward has moved past it. The FLOPs and operands
+do not change, so every gradient is bitwise what the stored values would
+give. This relies on one more rule: every recipe returns a new array, which
+its reader owns.
 
 Each of these memory tricks spends time to hold one array less, so each
 fires only for a big array, one of at least MIN_SAVED_BYTES (1 MiB): a
@@ -593,31 +589,20 @@ def relu(x):
     masks with the output, which is > 0 exactly where x is, so x's value
     stays off the tape.
 
-    Over a batch-norm output that has a recipe (one of at least
-    MIN_SAVED_BYTES), the output is not kept either: its recipe takes
-    np.maximum, in place, of the new array batch norm's recipe returns, and
-    keeps it in one slot. The first backward reader (the next conv's dK, or
-    the max pool's) fills the slot and this op's backward, which masks with
-    it, clears it. A deferred weight gradient, which reads after the walk,
-    rebuilds the value again.
+    Where x has a recipe (a big batch-norm output, or a pad2d of its ReLU),
+    the output is not kept either: its recipe takes np.maximum, in place, of
+    the new array x's recipe returns, and the backward masks with a rebuild.
     """
     r = np.maximum(x.data, 0)
-    if x.recipe is None or x.op != "batch_norm":
+    if x.recipe is None:
         return _node(r, "relu", (x,), lambda g: (g * (r > 0),))
-    rebuild, slot = x.recipe, []
+    rebuild = x.recipe
 
     def recipe():
-        if not slot:
-            v = rebuild()
-            slot.append(np.maximum(v, 0, out=v))
-        return slot[0]
+        v = rebuild()
+        return np.maximum(v, 0, out=v)
 
-    def vjp(g):
-        mask = recipe() > 0
-        slot.clear()
-        return (g * mask,)
-
-    return _with_recipe(_node(r, "relu", (x,), vjp), recipe)
+    return _with_recipe(_node(r, "relu", (x,), lambda g: (g * (rebuild() > 0),)), recipe)
 
 
 def pool(x, mode, window, stride=None):

@@ -287,7 +287,7 @@ def end_to_end_check(seed=0, tol=1e-4):
     targets = rng.dirichlet(np.ones(5), size=2)
 
     def loss_fn():
-        out = net.forward(ad.Tensor(batch, dtype=np.float64), mode="train")
+        out = net.forward(batch, mode="train")
         return ldl.euclidean_loss_graph(out.distribution, targets)
 
     with _every_trick():

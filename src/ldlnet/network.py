@@ -268,19 +268,19 @@ class Network:
     # -- forward -----------------------------------------------------------
 
     def forward(self, batch, mode="train"):
-        """Run a (N,3,H,W) batch through the network.
+        """Run a (N,3,H,W) array through the network, in the network's dtype.
 
         Returns logits, the softmax distribution (None when num_labels == 1),
         and the post-avgpool feature vector.
         """
         if mode not in ("train", "eval"):
             raise ConfigurationError(f"mode must be 'train' or 'eval', got {mode!r}")
-        data = batch.data if isinstance(batch, ad.Tensor) else np.asarray(batch)
+        data = np.asarray(batch)
         s = self.spec.input_size
         if data.ndim != 4 or data.shape[1] != 3 or data.shape[2] != s or data.shape[3] != s:
             raise DimensionError(
                 f"batch shape {data.shape} does not match expected (N,3,{s},{s})")
-        x = batch if isinstance(batch, ad.Tensor) else ad.Tensor(data.astype(self.dtype, copy=False))
+        x = ad.Tensor(data.astype(self.dtype, copy=False))
 
         x = ad.relu(self.stem_bn.forward(self.stem_conv.forward(x), mode))
         x = ad.pad2d(x, self.spec.stem_pool_pad)

@@ -56,6 +56,13 @@ class TestDense:
             ad.dense(t64(np.ones((2, 3))), t64(np.ones((4, 2))), t64(np.ones(2)))
         assert "(2, 3)" in str(exc.value) and "(4, 2)" in str(exc.value)
 
+    @pytest.mark.parametrize("xs,ws,bs,message", [
+        ((2, 3, 1), (3, 2), (2,), "2-d x and w"), ((2, 3), (3,), (2,), "2-d x and w"),
+        ((2, 3), (3, 2), (3,), "bias shape"), ((2, 3), (3, 2), (1, 2), "bias shape")])
+    def test_malformed_operands_are_refused(self, xs, ws, bs, message):
+        with pytest.raises(DimensionError, match=message):
+            ad.dense(t64(np.ones(xs)), t64(np.ones(ws)), t64(np.ones(bs)))
+
 
 class TestConv2d:
     def test_identity_kernel(self):
@@ -101,6 +108,13 @@ class TestConv2d:
         with pytest.raises(ConfigurationError):
             ad.conv2d(t64(np.ones((1, 1, 2, 2))), t64(np.ones((1, 1, 3, 3))),
                       stride=1, pad=0)
+
+    @pytest.mark.parametrize("xs,ks,message", [
+        ((1, 5, 5), (1, 1, 3, 3), "4-d operands"), ((1, 1, 5, 5), (1, 3, 3), "4-d operands"),
+        ((1, 2, 5, 5), (1, 3, 3, 3), "channel mismatch")])
+    def test_malformed_operands_are_refused(self, xs, ks, message):
+        with pytest.raises(DimensionError, match=message):
+            ad.conv2d(t64(np.ones(xs)), t64(np.ones(ks)))
 
     def test_negative_pad_rejected(self):
         # a negative pad would crop the input instead of padding it
@@ -456,6 +470,53 @@ class TestRelu:
         assert x.grad.tobytes() == (g * (data > 0)).tobytes()
 
 
+def _recipe_chain(seed, mode="train"):
+    """x -> batch_norm -> relu -> pad2d -> relu, each output with its recipe
+    at MIN_SAVED_BYTES = 0; returns x, gamma, beta and the four outputs."""
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.standard_normal((2, 3, 4, 4)).astype(np.float32), requires_grad=True)
+    gamma = ad.Tensor(rng.uniform(0.5, 1.5, 3).astype(np.float32), requires_grad=True)
+    beta = ad.Tensor(rng.standard_normal(3).astype(np.float32), requires_grad=True)
+    stats = ad.RunningStats(3)
+    stats.mean, stats.var = rng.standard_normal(3), rng.uniform(0.5, 2.0, 3)
+    bn = ad.batch_norm(x, gamma, beta, mode=mode, stats=stats)
+    r = ad.relu(bn)
+    p = ad.pad2d(r, 1)
+    return x, gamma, beta, (bn, r, p, ad.relu(p))
+
+
+@pytest.mark.usefixtures("every_trick")
+class TestRecipes:
+    """Every recipe returns a new array, which its reader owns."""
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("which", ["batch_norm", "relu", "pad2d", "relu_over_pad2d"])
+    def test_each_call_returns_a_new_array_of_the_forward_value(self, which, mode):
+        _, _, _, outs = _recipe_chain(30, mode)
+        t = dict(zip(["batch_norm", "relu", "pad2d", "relu_over_pad2d"], outs))[which]
+        assert t.recipe is not None
+        first, second = t.recipe(), t.recipe()
+        assert not np.shares_memory(first, second) and not np.shares_memory(first, t.data)
+        assert first.tobytes() == second.tobytes() == t.data.tobytes()
+        first[...] = np.nan   # the reader owns it: the next call is unchanged
+        assert t.recipe().tobytes() == t.data.tobytes()
+
+    def test_a_relu_over_a_rebuilt_pad2d_rebuilds_and_keeps_the_eager_gradients(self, monkeypatch):
+        def grads():
+            x, gamma, beta, outs = _recipe_chain(31)
+            w = np.random.default_rng(32).standard_normal(outs[-1].shape).astype(np.float32)
+            ad.tsum(ad.mul_const(outs[-1], w)).backward()
+            return outs[-1].recipe, [t.grad for t in (x, gamma, beta)]
+
+        recipe, rebuilt = grads()
+        with monkeypatch.context() as m:
+            m.setattr(ad, "MIN_SAVED_BYTES", 1 << 20)
+            no_recipe, eager = grads()
+        assert recipe is not None and no_recipe is None
+        for name, a, b in zip(("dX", "dgamma", "dbeta"), rebuilt, eager):
+            assert a.tobytes() == b.tobytes(), name
+
+
 class TestPool:
     def test_max_definition(self):
         x = t64([[[[1.0, 2.0], [3.0, 4.0]]]])
@@ -541,6 +602,11 @@ class TestAdd:
         with pytest.raises(DimensionError):
             ad.add(t64([1.0]), t64([1.0, 2.0]))
 
+    @pytest.mark.parametrize("op", [ad.sub, ad.mul])
+    def test_the_loss_graphs_elementwise_ops_refuse_a_shape_mismatch(self, op):
+        with pytest.raises(DimensionError, match=f"{op.__name__} shape mismatch"):
+            op(t64([1.0]), t64([1.0, 2.0]))
+
 
 class TestSoftmax:
     def test_uniform_on_zeros(self):
@@ -610,6 +676,11 @@ class TestTapeProperties:
         h = ad.scale(x, 1.0)
         ad.tsum(ad.add(h, h)).backward()
         assert np.array_equal(x.grad, [2.0, 2.0])
+
+    @pytest.mark.parametrize("data", [[1, 2, 3], np.arange(3, dtype=np.int64), np.array([True, False])])
+    def test_integer_or_boolean_data_becomes_float32(self, data):
+        t = ad.Tensor(data)
+        assert t.dtype == np.float32 and np.array_equal(t.data, np.asarray(data, dtype=np.float32))
 
     def test_no_grad_suppresses_tape(self):
         x = t64([1.0, 2.0], requires_grad=True)
@@ -1214,3 +1285,35 @@ class TestGradCheckHarness:
             rep = grad_check([("w", w)], lambda: ad.tsum(ad.log_(w)), eps=1e-6, tol=1e-6)
         assert not rep.passed
         assert "log" in rep.failure
+
+    @pytest.mark.parametrize("value", [5e-6, 1e-5], ids=["nan", "minus_inf"])
+    def test_a_perturbed_loss_that_is_not_finite_fails_the_check(self, value):
+        # the forward at value is finite; log(value - eps) is NaN or -inf
+        w = t64([2.0, value], requires_grad=True)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            rep = grad_check([("w", w)], lambda: ad.tsum(ad.log_(w)), eps=1e-5)
+        assert not rep.passed and rep.failure == "non-finite loss while perturbing w[1]"
+
+    def test_suite_records_inf_for_a_case_whose_perturbed_loss_is_not_finite(self, monkeypatch):
+        right = ad.relu
+
+        def nan_without_tape(x):   # the perturbed losses run under no_grad
+            out = right(x)
+            if not ad._grad_enabled:
+                out.data = out.data * np.nan
+            return out
+
+        monkeypatch.setattr(ad, "relu", nan_without_tape)
+        worst, passed = gradient_suite(num_seeds=1)
+        assert not passed
+        assert {name for name, err in worst.items() if err == float("inf")} == CASES_OF_OP["relu"]
+
+    @pytest.mark.parametrize("view", [lambda a: a.T, lambda a: a[:, ::2]], ids=["transposed", "strided"])
+    def test_a_non_contiguous_parameter_is_checked_through_a_contiguous_copy(self, view):
+        rng = np.random.default_rng(33)
+        w = ad.Tensor(view(rng.standard_normal((4, 6))), requires_grad=True)
+        assert not w.data.flags["C_CONTIGUOUS"]
+        pw = rng.standard_normal(w.shape)
+        rep = grad_check([("w", w)], lambda: ad.tsum(ad.mul(w, ad.mul_const(w, pw))))
+        assert rep.passed and rep.params[0].checked == w.data.size, rep.summary()
+        assert w.data.flags["C_CONTIGUOUS"]

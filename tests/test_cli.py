@@ -43,6 +43,10 @@ class TestParse:
         with pytest.raises(UsageError):
             parse(["dance"])
 
+    def test_a_verb_is_required(self):
+        with pytest.raises(UsageError, match="a verb is required"):
+            parse([])
+
     def test_defaults_applied(self):
         cmd = parse(["train", "--data", "d", "--out", "m"])
         assert cmd.batch == 32
@@ -229,6 +233,10 @@ def _toy_checkpoint_with_widths(path, widths, **fields):
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["train", "--loss", "bogus"]) == 1
+
+    def test_missing_verb_is_one(self, capsys):
+        assert main([]) == 1
+        assert "a verb is required" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_two(self, tmp_path, capsys):
         from ldlnet.data import save_index

@@ -74,6 +74,11 @@ class TestNormalizeImage:
         with pytest.raises(EmptyInputError):
             normalize_image(img, crop=(4, 4, 4, 8), target=4)
 
+    @pytest.mark.parametrize("shape", [(10, 10), (1, 10, 10), (10, 10, 3), (1, 3, 10, 10)])
+    def test_an_image_that_is_not_3_h_w_is_refused(self, shape):
+        with pytest.raises(RangeError, match=r"expected a \(3,H,W\) image"):
+            normalize_image(np.zeros(shape, dtype=np.float32), target=4)
+
     @pytest.mark.parametrize("crop", [(0, 0, 4.5, 4), (0, 0, 4), 4])
     def test_crop_must_be_four_integers(self, crop):
         # (0, 0, 4.5, 4) was silently cropped 4x4; (0, 0, 4) ended in a raw unpacking error
@@ -293,6 +298,12 @@ class TestPpm:
         path = tmp_path / "img.ppm"
         path.write_bytes(b"P6\n# made by hand\n2 1 # width height\n255\n" + bytes(range(6)))
         assert np.array_equal(read_ppm(path) * 255.0, [[[0, 3]], [[1, 4]], [[2, 5]]])
+
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 8, 8), (8, 8, 3), (1, 3, 8, 8)])
+    def test_writing_an_image_that_is_not_3_h_w_is_refused(self, tmp_path, shape):
+        with pytest.raises(DatasetError, match=r"write_ppm expects \(3,H,W\)"):
+            write_ppm(tmp_path / "img.ppm", np.zeros(shape, dtype=np.float32))
+        assert not (tmp_path / "img.ppm").exists()
 
     def test_rejects_non_p6(self, tmp_path):
         path = tmp_path / "img.ppm"

@@ -12,6 +12,8 @@ import pytest
 import ldlnet.autodiff as ad
 from ldlnet.distributions import (
     ScoreScale,
+    batch_loss_graph,
+    batch_loss_value,
     chebyshev,
     distribution_from_ratings,
     euclidean_loss,
@@ -322,6 +324,13 @@ class TestLossGraphs:
         pred = ad.Tensor(np.full((2, 5), 0.2), dtype=np.float64)
         with pytest.raises(DimensionError, match=r"mismatch: pred \(2, 5\) vs targets \(2, 4\)"):
             graph(pred, np.full((2, 4), 0.25))
+
+    @pytest.mark.parametrize("loss,pred", [(batch_loss_graph, ad.Tensor(np.full((2, 5), 0.2))),
+                                           (batch_loss_value, np.full((2, 5), 0.2))],
+                             ids=["graph", "value"])
+    def test_an_unknown_kind_is_refused(self, loss, pred):
+        with pytest.raises(ValidationError, match="unknown loss kind 'bogus'"):
+            loss("bogus", pred, np.full((2, 5), 0.2))
 
     def test_euclidean_gradient_finite_at_perfect_fit(self):
         targ = np.full((2, 5), 0.2)
