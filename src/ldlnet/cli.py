@@ -190,15 +190,22 @@ def _train_config(cmd):
     return TrainConfig(**{name: getattr(cmd, flag) for flag, (name, _, _) in _TRAIN_FLAGS.items()})
 
 
-def _check_outputs(*paths):
-    """Refuse, before any work, an output path in a missing directory or
-    one that is a directory."""
-    for path in filter(None, paths):
+def _check_outputs(outputs, inputs=None):
+    """Refuse, before any work, an output path in a missing directory, one
+    that is a directory, or one that names the same file as an input or
+    another output; both map a flag to its path."""
+    taken = {os.path.realpath(path): flag for flag, path in (inputs or {}).items()}
+    for flag, path in outputs.items():
+        if not path:
+            continue
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise FileNotFoundError(f"output directory not found: {parent}")
         if os.path.isdir(path):
             raise IsADirectoryError(f"output path is a directory: {path}")
+        other = taken.setdefault(os.path.realpath(path), flag)
+        if other != flag:
+            raise UsageError(f"{flag} and {other} name the same file: {path}")
 
 
 def _network_from_checkpoint(path):
@@ -225,7 +232,7 @@ def _network_from_checkpoint(path):
 # ---------------------------------------------------------------------------
 
 def _run_synth(cmd):
-    _check_outputs(cmd.out)
+    _check_outputs({"--out": cmd.out})
     ds = synth.synth_dataset(cmd.n, raters=cmd.raters, noise_sd=cmd.noise_sd,
                              bimodal_fraction=cmd.bimodal_fraction, seed=cmd.seed,
                              image_size=cmd.image_size)
@@ -240,7 +247,7 @@ def _run_train(cmd):
     if (cmd.train_count is None) != (cmd.test_count is None):
         raise UsageError("--train-count and --test-count must be given together")
     metrics_path = cmd.metrics or (cmd.out + ".metrics.csv")
-    _check_outputs(cmd.out, metrics_path)
+    _check_outputs({"--out": cmd.out, "--metrics": metrics_path}, {"--data": cmd.data})
     ds = data.load_index(cmd.data, image_size=spec.input_size)
     if cmd.train_count is not None:
         ds = data.split(ds, counts=(cmd.train_count, cmd.test_count), seed=cmd.seed)
@@ -257,7 +264,7 @@ def _run_train(cmd):
 
 
 def _run_eval(cmd):
-    _check_outputs(cmd.out)
+    _check_outputs({"--out": cmd.out}, {"--data": cmd.data, "--ckpt": cmd.ckpt})
     net, ckpt = _network_from_checkpoint(cmd.ckpt)
     ds = data.load_index(cmd.data, image_size=net.spec.input_size)
     if ds.scale != ckpt.scale:
@@ -316,7 +323,7 @@ def _run_gradcheck(cmd):
 
 
 def _run_export(cmd):
-    _check_outputs(cmd.out)
+    _check_outputs({"--out": cmd.out})   # --src may be --out: an in-place rewrite
     if cmd.kind == "checkpoint":
         ckpt = checkpoint.load(cmd.src)
         checkpoint.save(ckpt, cmd.out)

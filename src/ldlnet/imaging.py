@@ -75,8 +75,6 @@ def normalize_image(raw, crop=None, target=32):
 
 def rotate_image(img, angle_deg):
     """Rotate about the image center with bilinear sampling and zero fill."""
-    if angle_deg == 0.0:
-        return img.copy()
     _, h, w = img.shape
     theta = np.deg2rad(angle_deg)
     cos, sin = np.cos(theta), np.sin(theta)

@@ -61,11 +61,6 @@ class NetworkSpec:
             object.__setattr__(self, name, _integer("NetworkSpec", name, getattr(self, name), low))
         stage_spatial_sizes(self)
 
-    def weighted_layer_count(self):
-        """Main-path conv layers plus stem conv plus the dense head."""
-        per_block = len(BLOCK_LAYOUTS[self.block_kind])
-        return 1 + per_block * sum(n + 1 for n in self.block_counts) + 1
-
 
 def full_scale_spec(depth=50):
     """The full-scale configuration: bottleneck blocks on 224x224 inputs."""

@@ -2,7 +2,7 @@
 
 ``train`` (distribution head) and ``train_mean_regression`` (scalar head)
 share one SGD loop and one batched eval-mode prediction loop, and differ only
-in their batch loss and eval-point action. ``evaluate`` scores a split with
+in their batch loss and eval-point record. ``evaluate`` scores a split with
 one call to each batched loss and metric function of ``distributions``.
 
 The optimizer minimizes the batch-summed distribution loss. The final dense
@@ -11,11 +11,11 @@ scale/shift parameters are exempt from weight decay. Everything is
 deterministic in (dataset, spec, config): weight init and batch shuffling
 derive from config.seed.
 
-Train-mode batch norm keeps no moving average. Before each evaluation point
-of ``train``, and before ``train_mean_regression`` returns, every batch-norm
-layer's eval-mode statistics are set to population averages over the train
-split (``recompute_bn_stats``), so eval-mode losses and the returned
-checkpoint describe the trained weights.
+Train-mode batch norm keeps no moving average. At each evaluation point, the
+last iteration always among them, every batch-norm layer's eval-mode
+statistics are set to population averages over the train split
+(``recompute_bn_stats``), so eval-mode losses and the returned checkpoint
+describe the trained weights.
 """
 
 from __future__ import annotations
@@ -260,15 +260,15 @@ def _batch_stream(train_idx, batch_size, rng):
 
 
 def _fit(dataset, spec, config, loss_of, on_eval):
-    """The SGD loop both heads share; returns the network and the expanded
-    dataset. ``loss_of(out, targets, ds, batch_idx)`` gives the batch loss,
-    ``on_eval(iteration, net, ds, loss)`` runs after each eval point's update."""
+    """The SGD loop both heads share; returns the final checkpoint. ``loss_of(out,
+    targets, ds, batch_idx)`` gives the batch loss; ``on_eval(iteration, net, ds,
+    loss)`` runs at each eval point, after the update and ``recompute_bn_stats``."""
     if not dataset.train_idx or not dataset.test_idx:
         raise ConfigurationError("train needs non-empty train and test splits")
+    _check_images(dataset, spec)   # an augmented copy has its base's shape
     ds = expand(dataset, config.augment_factor, seed=config.seed)
     if len(ds.train_idx) < 2:
         raise ConfigurationError("train needs at least 2 train samples (batch norm)")
-    _check_images(ds, spec)
 
     net = Network(spec)
     init_weights(net, config.seed)
@@ -286,8 +286,9 @@ def _fit(dataset, spec, config, loss_of, on_eval):
         sgd_step(records, velocities, config, it)
 
         if (it + 1) % config.eval_every == 0 or it + 1 == config.max_iter:
+            recompute_bn_stats(net, ds, ds.train_idx, config.batch_size)
             on_eval(it + 1, net, ds, loss)
-    return net, ds
+    return Checkpoint.from_network(net, config.max_iter, dataset.scale.labels)
 
 
 def train(dataset, spec, config):
@@ -302,14 +303,12 @@ def train(dataset, spec, config):
         return batch_loss_graph(config.loss, out.distribution, targets)
 
     def on_eval(iteration, net, ds, loss):
-        recompute_bn_stats(net, ds, ds.train_idx, config.batch_size)
         tr = evaluate(net, ds, ds.train_idx, loss_kind=config.loss)
         te = evaluate(net, ds, ds.test_idx, loss_kind=config.loss)
         log.append(EvalPoint(iteration, tr.mean_loss, te.mean_loss, te.pc, te.mean_kl,
                              te.mean_chebyshev))
 
-    net, _ = _fit(dataset, spec, config, distribution_loss, on_eval)
-    return Checkpoint.from_network(net, config.max_iter, dataset.scale.labels), log
+    return _fit(dataset, spec, config, distribution_loss, on_eval), log
 
 
 def train_mean_regression(dataset, spec, config):
@@ -333,6 +332,4 @@ def train_mean_regression(dataset, spec, config):
     def on_eval(iteration, net, ds, loss):
         history.append((iteration, float(loss.data)))
 
-    net, ds = _fit(dataset, spec, config, squared_error, on_eval)
-    recompute_bn_stats(net, ds, ds.train_idx, config.batch_size)
-    return Checkpoint.from_network(net, config.max_iter, dataset.scale.labels), history
+    return _fit(dataset, spec, config, squared_error, on_eval), history

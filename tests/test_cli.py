@@ -555,6 +555,36 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
+    @pytest.mark.parametrize("argv,clash", [
+        ("train --data d.idx --out m.ckpt --metrics m.ckpt", ("--metrics", "--out")),
+        ("train --data d.idx --out d.idx", ("--out", "--data")),
+        ("train --data d.idx --out m.ckpt --metrics d.idx", ("--metrics", "--data")),
+        ("eval --data d.idx --ckpt m.ckpt --out m.ckpt", ("--out", "--ckpt")),
+        ("eval --data d.idx --ckpt m.ckpt --out link.idx", ("--out", "--data"))])
+    def test_output_that_is_another_path_of_the_run_is_one(self, tmp_path, capsys, argv, clash):
+        # each exited 0, leaving the CSV or checkpoint in place of the input
+        from ldlnet.data import save_index
+        from ldlnet.synth import synth_dataset
+        save_index(synth_dataset(6, raters=5, seed=1, image_size=16), tmp_path / "d.idx")
+        (tmp_path / "link.idx").symlink_to(tmp_path / "d.idx")
+        _toy_checkpoint_with_widths(tmp_path / "m.ckpt", [4, 6, 8, 10])
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        if argv.startswith("train"):
+            argv += " --iters 2 --batch 2 --input-size 16 --blocks 1,1,1,1 --widths 4,6,8,10"
+        assert main([str(tmp_path / a) if "." in a else a for a in argv.split()]) == 1
+        err = capsys.readouterr().err
+        assert "name the same file" in err and all(flag in err for flag in clash)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+    def test_export_in_place_still_rewrites(self, tmp_path, capsys):
+        from ldlnet import checkpoint as ckpt_io
+        path = _toy_checkpoint_with_widths(tmp_path / "m.ckpt", [4, 6, 8, 10])
+        before = ckpt_io.load(path)
+        assert main(["export", "--kind", "checkpoint", "--src", str(path),
+                     "--out", str(path)]) == 0
+        after = ckpt_io.load(path)
+        assert all(np.array_equal(before.state[k], after.state[k]) for k in before.state)
+
 
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -352,6 +353,58 @@ class TestTrainLoop:
                              input_size=32)
         with pytest.raises(ConfigurationError):
             train(ds, spec32, TrainConfig(max_iter=2, batch_size=4, eval_every=1))
+
+    def test_wrong_image_size_is_refused_before_augmenting(self, monkeypatch):
+        # an augmented copy has its base's shape, so the base samples decide
+        import ldlnet.training as training
+
+        def no_expand(*args, **kwargs):
+            raise AssertionError("augmented a dataset the network cannot take")
+
+        monkeypatch.setattr(training, "expand", no_expand)
+        ds = toy_dataset(16, seed=6, train=12)
+        spec32 = NetworkSpec(block_counts=(1, 1, 1, 1), stage_widths=(4, 6, 8, 10),
+                             input_size=32)
+        cfg = TrainConfig(max_iter=2, batch_size=4, eval_every=1, augment_factor=3)
+        for run, spec in ((train, spec32), (train_mean_regression, replace(spec32, num_labels=1))):
+            with pytest.raises(ConfigurationError, match="does not match network input"):
+                run(ds, spec, cfg)
+
+
+class TestEvaluationLeavesTrainingAlone:
+    """Eval points set batch-norm statistics and read the network, and train
+    mode reads no statistics, so how often a run evaluates changes neither
+    its weights nor its final checkpoint."""
+
+    MAX_ITER = 6
+
+    def _runs(self, run, spec, ds):
+        return {every: run(ds, spec, TrainConfig(max_iter=self.MAX_ITER, batch_size=8,
+                                                 eval_every=every, seed=7, augment_factor=2))
+                for every in (1, 4, self.MAX_ITER)}
+
+    @staticmethod
+    def _same_checkpoint(a, b):
+        assert (a.spec, a.iteration, a.labels) == (b.spec, b.iteration, b.labels)
+        assert list(a.state) == list(b.state)
+        assert all(a.state[k].tobytes() == b.state[k].tobytes() for k in a.state)
+
+    def test_train(self):
+        runs = self._runs(train, TOY, toy_dataset(32, seed=7, train=24))
+        every_step = set(runs[1][1].to_csv().splitlines())
+        for ckpt, log in runs.values():
+            self._same_checkpoint(ckpt, runs[1][0])
+            assert set(log.to_csv().splitlines()) <= every_step
+        assert [p.iteration for p in runs[4][1].points] == [4, self.MAX_ITER]
+
+    def test_mean_regression(self):
+        spec = replace(TOY, num_labels=1)
+        runs = self._runs(train_mean_regression, spec, toy_dataset(32, seed=7, train=24))
+        every_step = dict(runs[1][1])
+        for ckpt, history in runs.values():
+            self._same_checkpoint(ckpt, runs[1][0])
+            assert history == [(it, every_step[it]) for it, _ in history]
+        assert [it for it, _ in runs[self.MAX_ITER][1]] == [self.MAX_ITER]
 
 
 class TestEvaluate:
