@@ -487,9 +487,9 @@ def conv2d(x, k, stride=1, pad=0):
 class RunningStats:
     """Per-channel mean/variance used by eval-mode batch norm.
 
-    In a network, ``mean`` and ``var`` are written only by
-    ``training.recompute_bn_stats`` (population values over the train split),
-    ``reset`` and ``Network.load_state_dict``. ``batch_mean`` and
+    ``mean`` and ``var`` are written only in place, by ``reset``,
+    ``Network.load_state_dict`` and ``training.recompute_bn_stats``
+    (population values over the train split). ``batch_mean`` and
     ``batch_var`` hold the statistics of the last train-mode batch itself
     (None before the first one).
     """
@@ -500,8 +500,8 @@ class RunningStats:
         self.batch_mean = self.batch_var = None
 
     def reset(self):
-        self.mean = np.zeros_like(self.mean)
-        self.var = np.ones_like(self.var)
+        self.mean[...] = 0
+        self.var[...] = 1
 
 
 def batch_norm(x, gamma, beta, mode="train", stats=None):

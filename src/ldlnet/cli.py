@@ -191,13 +191,15 @@ def _train_config(cmd):
 
 
 def _check_outputs(outputs, inputs=None):
-    """Refuse, before any work, an output path in a missing directory, one
-    that is a directory, or one that names the same file as an input or
-    another output; both map a flag to its path."""
+    """Refuse, before any work, an empty output path, one in a missing
+    directory, one that is a directory, or one that names the same file as an
+    input or another output; both map a flag to its path (None: not given)."""
     taken = {os.path.realpath(path): flag for flag, path in (inputs or {}).items()}
     for flag, path in outputs.items():
-        if not path:
+        if path is None:
             continue
+        if not path:
+            raise UsageError(f"{flag} is an empty path")
         parent = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(parent):
             raise FileNotFoundError(f"output directory not found: {parent}")
@@ -206,6 +208,11 @@ def _check_outputs(outputs, inputs=None):
         other = taken.setdefault(os.path.realpath(path), flag)
         if other != flag:
             raise UsageError(f"{flag} and {other} name the same file: {path}")
+
+
+def _images_of(ds, flag):
+    """The image files of the index read from ``flag``, as _check_outputs inputs."""
+    return {f"{flag} image {i}": s.path for i, s in enumerate(ds.samples)}
 
 
 def _network_from_checkpoint(path):
@@ -246,9 +253,11 @@ def _run_train(cmd):
     spec = _spec_from(cmd)
     if (cmd.train_count is None) != (cmd.test_count is None):
         raise UsageError("--train-count and --test-count must be given together")
-    metrics_path = cmd.metrics or (cmd.out + ".metrics.csv")
-    _check_outputs({"--out": cmd.out, "--metrics": metrics_path}, {"--data": cmd.data})
+    metrics_path = cmd.out + ".metrics.csv" if cmd.metrics is None else cmd.metrics
+    outputs = {"--out": cmd.out, "--metrics": metrics_path}
+    _check_outputs(outputs, {"--data": cmd.data})
     ds = data.load_index(cmd.data, image_size=spec.input_size)
+    _check_outputs(outputs, _images_of(ds, "--data"))
     if cmd.train_count is not None:
         ds = data.split(ds, counts=(cmd.train_count, cmd.test_count), seed=cmd.seed)
     else:
@@ -267,6 +276,7 @@ def _run_eval(cmd):
     _check_outputs({"--out": cmd.out}, {"--data": cmd.data, "--ckpt": cmd.ckpt})
     net, ckpt = _network_from_checkpoint(cmd.ckpt)
     ds = data.load_index(cmd.data, image_size=net.spec.input_size)
+    _check_outputs({"--out": cmd.out}, _images_of(ds, "--data"))
     if ds.scale != ckpt.scale:
         raise ConfigurationError(f"{cmd.data} has the score scale {ds.scale.labels}, the "
                                  f"checkpoint {cmd.ckpt} {ckpt.scale.labels}")
@@ -331,6 +341,7 @@ def _run_export(cmd):
               f"to {cmd.out}")
     else:
         ds = data.load_index(cmd.src)
+        _check_outputs({"--out": cmd.out}, _images_of(ds, "--src"))
         data.save_index(ds, cmd.out, labels=cmd.labels_as)
         print(f"rewrote dataset ({ds.n} samples) to {cmd.out}")
     return 0

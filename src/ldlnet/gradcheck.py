@@ -193,8 +193,8 @@ def _op_cases(rng):
         x=_param(rng, 4, 3, 3, 3), gamma=gamma(), beta=_param(rng, 3))
     xe, game, bete = _param(rng, 2, 3, 3, 3), gamma(), _param(rng, 3)
     stats = ad.RunningStats(3, dtype=np.float64)
-    stats.mean = rng.standard_normal(3)
-    stats.var = rng.uniform(0.5, 2.0, 3)
+    stats.mean[...] = rng.standard_normal(3)
+    stats.var[...] = rng.uniform(0.5, 2.0, 3)
     cases["batch_norm_eval"] = _case(
         rng, lambda x, g, b: ad.batch_norm(x, g, b, mode="eval", stats=stats),
         x=xe, gamma=game, beta=bete)

@@ -197,10 +197,13 @@ class Network:
         self.spec = spec
         self.dtype = dtype
         self.stage_sizes = stage_spatial_sizes(spec)
+        self._records = []
+        self._stat_entries = []
 
         widths = spec.stage_widths
         self.stem_conv = ConvUnit(3, widths[0], spec.stem_kernel, spec.stem_stride, dtype=dtype)
         self.stem_bn = NormUnit(widths[0], dtype=dtype)
+        self._add_unit("stem.conv", "stem.bn", self.stem_conv, self.stem_bn)
 
         self.stages = []
         in_ch = widths[0]
@@ -208,20 +211,24 @@ class Network:
             blocks = []
             for j in range(spec.block_counts[i] + 1):
                 stride = 2 if (i > 0 and j == 0) else 1
-                block = ResidualBlock(spec.block_kind, in_ch, widths[i], stride,
-                                      spec.skip_connections, dtype=dtype)
-                in_ch = block.out_channels
-                blocks.append(block)
+                blk = ResidualBlock(spec.block_kind, in_ch, widths[i], stride,
+                                    spec.skip_connections, dtype=dtype)
+                base = f"stage{i + 1}.block{j}"
+                for ci, (conv, norm) in enumerate(blk.units, start=1):
+                    self._add_unit(f"{base}.conv{ci}", f"{base}.bn{ci}", conv, norm,
+                                   branch_end=blk.skip and ci == len(blk.units))
+                if blk.proj_conv is not None:
+                    self._add_unit(f"{base}.proj", f"{base}.proj.bn", blk.proj_conv, blk.proj_bn)
+                in_ch = blk.out_channels
+                blocks.append(blk)
             self.stages.append(blocks)
 
         self.feature_dim = in_ch
         self.fc = DenseUnit(in_ch, spec.num_labels, dtype=dtype)
+        self._records += [ParamRecord("fc.weight", self.fc.weight, "weight", last_layer=True),
+                          ParamRecord("fc.bias", self.fc.bias, "bias", last_layer=True)]
 
-        self._records = []
-        self._stat_entries = []
-        self._register()
-
-    # -- registry ----------------------------------------------------------
+    # -- registry: filled in build order, which is the forward's order -----
 
     def _add_unit(self, conv_name, bn_name, conv, norm, branch_end=False):
         self._records += [
@@ -229,19 +236,6 @@ class Network:
             ParamRecord(f"{bn_name}.gamma", norm.gamma, "bn_gamma", branch_end=branch_end),
             ParamRecord(f"{bn_name}.beta", norm.beta, "bn_beta")]
         self._stat_entries.append((bn_name, norm.stats))
-
-    def _register(self):
-        self._add_unit("stem.conv", "stem.bn", self.stem_conv, self.stem_bn)
-        for i, blocks in enumerate(self.stages):
-            for j, blk in enumerate(blocks):
-                base = f"stage{i + 1}.block{j}"
-                for ci, (conv, norm) in enumerate(blk.units, start=1):
-                    self._add_unit(f"{base}.conv{ci}", f"{base}.bn{ci}", conv, norm,
-                                   branch_end=blk.skip and ci == len(blk.units))
-                if blk.proj_conv is not None:
-                    self._add_unit(f"{base}.proj", f"{base}.proj.bn", blk.proj_conv, blk.proj_bn)
-        self._records += [ParamRecord("fc.weight", self.fc.weight, "weight", last_layer=True),
-                          ParamRecord("fc.bias", self.fc.bias, "bias", last_layer=True)]
 
     def param_records(self):
         return list(self._records)
@@ -300,6 +294,9 @@ class Network:
         return state
 
     def load_state_dict(self, state):
+        """Copy ``state`` (as made by ``state_dict``) into the network's own
+        arrays, after checking every name and shape; the network never shares
+        memory with ``state``."""
         expected = {r.name: r.tensor.data.shape for r in self._records}
         for name, stats in self._stat_entries:
             expected[f"{name}.running_mean"] = stats.mean.shape
@@ -314,10 +311,10 @@ class Network:
                 raise DimensionError(
                     f"parameter {name}: checkpoint shape {state[name].shape} vs network {shape}")
         for r in self._records:
-            r.tensor.data = np.asarray(state[r.name], dtype=self.dtype).copy()
+            r.tensor.data[...] = state[r.name]
         for name, stats in self._stat_entries:
-            stats.mean = np.asarray(state[f"{name}.running_mean"], dtype=self.dtype).copy()
-            stats.var = np.asarray(state[f"{name}.running_var"], dtype=self.dtype).copy()
+            stats.mean[...] = state[f"{name}.running_mean"]
+            stats.var[...] = state[f"{name}.running_var"]
 
 
 def init_weights(network, seed):
@@ -334,7 +331,8 @@ def init_weights(network, seed):
     start small is marked ``branch_end`` in the parameter registry.
 
     Fully reproducible: parameters are drawn in registry order from a single
-    generator seeded with ``seed``.
+    generator seeded with ``seed``. Every array is written in place, as
+    ``sgd_step`` writes it, so each tensor keeps the storage it was built with.
     """
     _integer("init_weights", "seed", seed, 0)
     rng = np.random.default_rng(seed)
@@ -343,10 +341,10 @@ def init_weights(network, seed):
         if rec.kind == "weight":
             shape = t.data.shape
             fan_in = shape[0] if t.data.ndim == 2 else int(np.prod(shape[1:]))
-            t.data = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape).astype(network.dtype)
+            t.data[...] = rng.normal(0.0, np.sqrt(2.0 / fan_in), shape)
         elif rec.kind in ("bias", "bn_beta"):
-            t.data = np.zeros_like(t.data)
+            t.data[...] = 0
         elif rec.kind == "bn_gamma":
-            t.data = np.full_like(t.data, BRANCH_END_GAMMA if rec.branch_end else 1.0)
+            t.data[...] = BRANCH_END_GAMMA if rec.branch_end else 1.0
     for stats in network.running_stats():
         stats.reset()

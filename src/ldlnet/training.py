@@ -210,8 +210,8 @@ def recompute_bn_stats(net, dataset, indices, batch_size):
                 mean += (hi - lo) * s.batch_mean.astype(np.float64)
                 var += (hi - lo) * s.batch_var.astype(np.float64)
     for s, mean, var in zip(stats, means, variances):
-        s.mean = (mean / len(indices)).astype(s.mean.dtype)
-        s.var = (var / len(indices)).astype(s.var.dtype)
+        s.mean[...] = mean / len(indices)
+        s.var[...] = var / len(indices)
 
 
 def evaluate(net, dataset, indices, loss_kind="euclidean"):

@@ -576,6 +576,75 @@ class TestExitCodes:
         assert "name the same file" in err and all(flag in err for flag in clash)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
+    @pytest.mark.parametrize("argv,flag", [
+        ("synth --out", "--out"),
+        ("train --data d.idx --out", "--out"),
+        ("train --data d.idx --out m.ckpt --metrics", "--metrics"),
+        ("eval --data d.idx --ckpt m.ckpt --out", "--out"),
+        ("export --kind dataset --src d.idx --out", "--out"),
+        ("export --kind checkpoint --src m.ckpt --out", "--out")])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_empty_output_path_is_one_before_any_work(
+            self, tmp_path, capsys, monkeypatch, argv, flag, where):
+        # synth and a dataset export wrote their images into the parent
+        # directory and exited 2, train trained to the last iteration first,
+        # and eval took an empty --out for no CSV
+        from ldlnet import checkpoint, data, synth, training
+        for owner, name in ((data, "load_index"), (training, "train"), (checkpoint, "load"),
+                            (synth, "synth_dataset")):
+            monkeypatch.setattr(owner, name, lambda *a, **k: pytest.fail("worked first"))
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        argv = argv.split()
+        if where == "flag":
+            argv.append("")
+        else:
+            (work / "run.cfg").write_text(f"{argv.pop()[2:]} =\n")
+            argv += ["--config", "run.cfg"]
+        assert main(argv) == 1
+        assert f"{flag} is an empty path" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [work]
+        assert [p.name for p in work.iterdir()] == ([] if where == "flag" else ["run.cfg"])
+
+    @pytest.mark.parametrize("argv,image", [
+        ("eval --data d.idx --ckpt m.ckpt --out d_images/img_00000.ppm", 0),
+        ("train --data d.idx --out m2.ckpt --metrics d_images/img_00001.ppm", 1),
+        ("train --data d.idx --out d_images/img_00002.ppm", 2),
+        ("export --kind dataset --src d.idx --out d_images/img_00003.ppm", 3)])
+    def test_output_that_is_an_image_of_the_index_is_one(
+            self, tmp_path, capsys, monkeypatch, argv, image):
+        # eval and train exited 0 with their CSV or checkpoint in place of the
+        # image, and the next read of the index failed on it
+        from ldlnet import data, training
+        from ldlnet.synth import synth_dataset
+        data.save_index(synth_dataset(6, raters=5, seed=1, image_size=16), tmp_path / "d.idx")
+        _toy_checkpoint_with_widths(tmp_path / "m.ckpt", [4, 6, 8, 10])
+        for name in ("train", "evaluate"):
+            monkeypatch.setattr(training, name, lambda *a, **k: pytest.fail("worked first"))
+        target = tmp_path / "d_images" / f"img_{image:05d}.ppm"
+        before = target.read_bytes()
+        if argv.startswith("train"):
+            argv += " --iters 2 --batch 2 --input-size 16 --blocks 1,1,1,1 --widths 4,6,8,10"
+        assert main([str(tmp_path / a) if "." in a else a for a in argv.split()]) == 1
+        err = capsys.readouterr().err
+        assert "name the same file" in err and f"image {image}" in err
+        assert target.read_bytes() == before
+        assert not (tmp_path / "m2.ckpt").exists()
+
+    def test_export_dataset_in_place_still_rewrites(self, tmp_path, capsys):
+        from ldlnet.data import load_index, save_index
+        from ldlnet.synth import synth_dataset
+        save_index(synth_dataset(4, raters=5, seed=3, image_size=16), tmp_path / "d.idx")
+        before = load_index(tmp_path / "d.idx")
+        assert main(["export", "--kind", "dataset", "--src", str(tmp_path / "d.idx"),
+                     "--out", str(tmp_path / "d.idx")]) == 0
+        after = load_index(tmp_path / "d.idx")
+        assert [s.path for s in after.samples] == [s.path for s in before.samples]
+        for a, b in zip(after.samples, before.samples, strict=True):
+            assert np.array_equal(a.image, b.image)
+            assert np.array_equal(a.distribution, b.distribution)
+
     def test_export_in_place_still_rewrites(self, tmp_path, capsys):
         from ldlnet import checkpoint as ckpt_io
         path = _toy_checkpoint_with_widths(tmp_path / "m.ckpt", [4, 6, 8, 10])

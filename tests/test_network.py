@@ -285,3 +285,74 @@ class TestResidualStructure:
         init_weights(net, 6)
         out = net.forward(np.random.default_rng(6).uniform(size=(2, 3, 16, 16)), mode="train")
         assert np.allclose(out.distribution.data.sum(axis=1), 1.0, atol=1e-6)
+
+
+class TestStateLivesInTheBuiltArrays:
+    """Every write to a network's state goes into the arrays its build made."""
+
+    @staticmethod
+    def _arrays(net):
+        return ([r.tensor.data for r in net.param_records()]
+                + [a for s in net.running_stats() for a in (s.mean, s.var)])
+
+    def test_init_load_stats_and_sgd_keep_every_array(self):
+        from ldlnet.data import split
+        from ldlnet.distributions import euclidean_loss_graph
+        from ldlnet.synth import synth_dataset
+        from ldlnet.training import TrainConfig, recompute_bn_stats, sgd_step
+        net, donor = Network(TOY), Network(TOY)
+        init_weights(donor, 3)
+        built = self._arrays(net)
+        init_weights(net, 1)
+        state = donor.state_dict()
+        net.load_state_dict(state)
+        assert all(np.array_equal(net.state_dict()[k], v) for k, v in state.items())
+        ds = split(synth_dataset(6, raters=5, seed=2, image_size=16), train_fraction=0.5, seed=0)
+        recompute_bn_stats(net, ds, ds.train_idx, 2)
+        images = np.stack([ds.samples[i].image for i in ds.train_idx])
+        targets = np.stack([ds.samples[i].distribution for i in ds.train_idx])
+        euclidean_loss_graph(net.forward(images).distribution, targets).backward()
+        sgd_step(net.param_records(), {}, TrainConfig(), 0)
+        assert not np.array_equal(net.state_dict()["fc.weight"], state["fc.weight"])
+        assert all(now is then for now, then in zip(self._arrays(net), built, strict=True))
+
+    @pytest.mark.parametrize("spec", [
+        NetworkSpec(),
+        NetworkSpec(skip_connections=False),
+        NetworkSpec(block_counts=(1, 2, 1, 1), stage_widths=(4, 6, 8, 10), input_size=16,
+                    block_kind="bottleneck")], ids=["desk", "plain", "bottleneck"])
+    def test_the_registry_follows_the_forward(self, spec, monkeypatch):
+        used, stats_used = [], []
+        conv2d, batch_norm, dense = ad.conv2d, ad.batch_norm, ad.dense
+
+        def conv(x, k, **kw):
+            used.append(k)
+            return conv2d(x, k, **kw)
+
+        def norm(x, gamma, beta, mode="train", stats=None):
+            used.extend((gamma, beta))
+            stats_used.append(stats)
+            return batch_norm(x, gamma, beta, mode=mode, stats=stats)
+
+        def head(x, w, b):
+            used.extend((w, b))
+            return dense(x, w, b)
+
+        for name, fn in (("conv2d", conv), ("batch_norm", norm), ("dense", head)):
+            monkeypatch.setattr(ad, name, fn)
+        net = Network(spec)
+        net.forward(np.zeros((2, 3, spec.input_size, spec.input_size)))
+        assert len({id(t) for t in used}) == len(used)
+        assert all(r.tensor is t for r, t in zip(net.param_records(), used, strict=True))
+        assert all(s is t for s, t in zip(net.running_stats(), stats_used, strict=True))
+
+    def test_a_loaded_state_shares_no_memory_with_the_network(self):
+        source = Network(TOY)
+        init_weights(source, 4)
+        state = source.state_dict()
+        net = Network(TOY)
+        net.load_state_dict(state)
+        for value in state.values():
+            value += 1
+        assert all(np.array_equal(v, source.state_dict()[k])
+                   for k, v in net.state_dict().items())
